@@ -1,28 +1,38 @@
 """Per-slot source-to-consumer energy allocation.
 
 Three interchangeable policies produce AllocationDecision lists from the
-same slot snapshot (demands, remaining surpluses, hop counts, loss model):
+same slot snapshot (demands, remaining surpluses, lattice shape, loss
+model). Station ids are row-major on the rows x cols lattice, so the hop
+count between two stations is their lattice (Manhattan) distance.
 
-* ``lyapunov`` - consumers served priority-first; for each, sources are
-  split into those able to cover the demand and those that cannot, each
-  sorted by hop count; the nearest adequate source wins, with the
-  drift-plus-penalty score breaking ties between equally near candidates.
+* ``lyapunov`` - consumers served priority-first; for each, the sources
+  able to cover the demand after route losses are preferred, the nearest
+  wins, and the drift-plus-penalty score breaks ties between equally near
+  candidates. The search walks hop rings d = 1, 2, ... around the
+  consumer and stops after the first ring holding an adequate source,
+  once every source with surplus has been seen, or, with at least one
+  source collected, when even the largest surplus times the delivered
+  fraction of the next ring falls short of the demand. The fraction falls
+  with d and float products are monotone, so the rings collected always
+  hold the nearest adequate source, or when none exists the nearest
+  inadequate ones: the pick equals that of a scan over every source.
 * ``radial`` - a two-ring neighborhood search around the consumer.
 * ``random`` - a uniform draw over all current sources.
 
 All policies debit a source's remaining surplus as decisions are made, so
-later consumers in the same slot see updated availability.
+later consumers in the same slot see updated availability; a source whose
+surplus is spent drops out of the slot.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError
 
-HopsFn = Callable[[int, int], int]
+Shape = tuple[int, int]
 FractionFn = Callable[[int], float]
 
 POLICIES = ("lyapunov", "radial", "random")
@@ -93,26 +103,6 @@ def deliverable(
     return available[source] * fraction_of(hops_to[source])
 
 
-def eligible_sources(
-    available: Mapping[int, float],
-    hops_to: Mapping[int, int],
-    fraction_of: FractionFn,
-    demand_J: float,
-) -> tuple[list[int], list[int]]:
-    """Split sources by whether their deliverable energy covers the demand.
-
-    The comparison uses the loss-adjusted amount (what actually arrives
-    after per-hop losses), so a set_ge pick always restores the full
-    demand. Returns (can_cover, cannot_cover); both sorted ascending by
-    hop count, ties broken by lower station id. Sources with no surplus
-    left are dropped.
-    """
-    order = sorted((s for s in available if available[s] > 0.0), key=lambda s: (hops_to[s], s))
-    set_ge = [s for s in order if deliverable(s, available, hops_to, fraction_of) >= demand_J]
-    set_lt = [s for s in order if deliverable(s, available, hops_to, fraction_of) < demand_J]
-    return set_ge, set_lt
-
-
 def _decision_for(
     source: int,
     consumer: int,
@@ -146,30 +136,91 @@ def lyapunov_pick(
 ) -> AllocationDecision | None:
     """Choose one source for one consumer under the drift-plus-penalty rule.
 
-    Adequate sources are preferred; among those at the minimum hop count the
-    candidate with the lowest drift-plus-penalty score wins (ids break exact
-    ties, being the sort order). When no source can cover the demand the
-    nearest inadequate one sends everything it has, flagged as a shortfall.
+    The candidates are the sources in hops_to that have surplus left. A
+    source is adequate when its deliverable energy (loss-adjusted, so a
+    pick always restores the full demand) covers the demand. Adequate
+    sources are preferred; among those at the minimum hop count the
+    candidate with the lowest drift-plus-penalty score wins, and exact ties
+    go to the lower id. When no source can cover the demand the nearest
+    inadequate one sends everything it has, flagged as a shortfall.
     """
-    set_ge, set_lt = eligible_sources(available, hops_to, fraction_of, demand_J)
-    pool = set_ge if set_ge else set_lt
+    inf = float("inf")
+    ge_hops = lt_hops = inf
+    ge: list[int] = []
+    lt: list[int] = []
+    for s, h in hops_to.items():
+        if not available[s] > 0.0:
+            continue
+        amount = deliverable(s, available, hops_to, fraction_of)
+        if amount >= demand_J:
+            if h < ge_hops:
+                ge_hops, ge = h, [s]
+            elif h == ge_hops:
+                ge.append(s)
+        elif amount < demand_J:  # a NaN amount joins neither pool
+            if h < lt_hops:
+                lt_hops, lt = h, [s]
+            elif h == lt_hops:
+                lt.append(s)
+    pool, hops = (ge, ge_hops) if ge else (lt, lt_hops)
     if not pool:
         return None
-    best_hops = hops_to[pool[0]]
-    best: AllocationDecision | None = None
-    best_score = float("inf")
-    for s in pool:
-        if hops_to[s] != best_hops:
-            break  # pool is hop-sorted; only minimum-hop candidates compete
-        if set_ge:
-            candidate = _decision_for(s, consumer, available, best_hops, fraction_of, demand_J)
-        else:
-            fraction = fraction_of(best_hops)
-            candidate = AllocationDecision(s, consumer, available[s], fraction, best_hops, shortfall=True)
-        score = p2_score(queue_J, consumption_J, lam, candidate.delivered_J)
+    fraction = fraction_of(hops)
+    best = None
+    best_gross, best_score = 0.0, inf
+    for s in sorted(pool):
+        gross = min(demand_J / fraction, available[s]) if ge else available[s]
+        score = p2_score(queue_J, consumption_J, lam, gross * fraction)
         if score < best_score:
-            best, best_score = candidate, score
-    return best
+            best, best_gross, best_score = s, gross, score
+    if best is None:
+        return None
+    return AllocationDecision(best, consumer, best_gross, fraction, hops, shortfall=not ge)
+
+
+def ring_ids(station: int, d: int, shape: Shape) -> Iterator[int]:
+    """Ids of the stations exactly d hops from station on a row-major lattice."""
+    rows, cols = shape
+    r0, c0 = divmod(station, cols)
+    for r in range(max(r0 - d, 0), min(r0 + d, rows - 1) + 1):
+        rest = d - abs(r - r0)
+        if c0 - rest >= 0:
+            yield r * cols + c0 - rest
+        if rest and c0 + rest < cols:
+            yield r * cols + c0 + rest
+
+
+def ring_sources(
+    consumer: int,
+    demand_J: float,
+    available: Mapping[int, float],
+    shape: Shape,
+    fraction_of: FractionFn,
+) -> dict[int, int]:
+    """Sources in available around the consumer, as {source: hops}.
+
+    Walks rings d = 1, 2, ... outward and stops by the rule in the module
+    docstring, so lyapunov_pick over the result picks what it would pick
+    over every source.
+    """
+    rows, cols = shape
+    found: dict[int, int] = {}
+    top = None
+    for d in range(1, rows + cols - 1):
+        fraction = fraction_of(d)
+        if found:
+            if top is None:
+                top = max(available.values())
+            if top * fraction < demand_J:
+                break
+        adequate = False
+        for s in ring_ids(consumer, d, shape):
+            if s in available:
+                found[s] = d
+                adequate = adequate or available[s] * fraction >= demand_J
+        if adequate or len(found) == len(available):
+            break
+    return found
 
 
 RADIAL_MAX_RINGS = 2
@@ -188,7 +239,7 @@ def radial_allocate(
     source the lowest station id wins regardless of how much it can give.
     """
     for ring in range(1, RADIAL_MAX_RINGS + 1):
-        hits = sorted(s for s in available if available[s] > 0.0 and hops_to[s] == ring)
+        hits = sorted(s for s in hops_to if available[s] > 0.0 and hops_to[s] == ring)
         if hits:
             return _decision_for(hits[0], consumer, available, ring, fraction_of, demand_J)
     return None
@@ -217,11 +268,42 @@ def consumer_order(demands: Mapping[int, float], priority: frozenset[int]) -> li
     return first + rest
 
 
+PickFn = Callable[[int, float, dict[int, float]], AllocationDecision | None]
+
+
+def _drive(
+    demands: Mapping[int, float],
+    priority: frozenset[int],
+    surpluses: Mapping[int, float],
+    pick: PickFn,
+) -> tuple[list[AllocationDecision], list[int]]:
+    """Serve consumers in order from the sources that still have surplus.
+
+    A source is dropped once its surplus is spent, so a consumer that finds
+    none left is an outage without a search.
+    """
+    available = {s: a for s, a in surpluses.items() if a > 0.0}
+    decisions: list[AllocationDecision] = []
+    outages: list[int] = []
+    for consumer in consumer_order(demands, priority):
+        picked = pick(consumer, demands[consumer], available) if available else None
+        if picked is None:
+            outages.append(consumer)
+            continue
+        left = available[picked.source_id] - picked.gross_J
+        if left > 0.0:
+            available[picked.source_id] = left
+        else:
+            del available[picked.source_id]
+        decisions.append(picked)
+    return decisions, outages
+
+
 def lyapunov_allocate(
     demands: Mapping[int, float],
     priority: frozenset[int],
     surpluses: Mapping[int, float],
-    hops_fn: HopsFn,
+    shape: Shape,
     fraction_of: FractionFn,
     queues: Mapping[int, float],
     consumptions: Mapping[int, float],
@@ -229,32 +311,26 @@ def lyapunov_allocate(
 ) -> tuple[list[AllocationDecision], list[int]]:
     """Run the drift-plus-penalty policy over a whole slot.
 
-    consumptions holds the latest known per-station consumption (the
-    previous slot's, since the current slot's load is only known at its
-    end). Returns the decision list plus the ids of consumers no source
-    could serve at all.
+    Station ids are row-major on a rows x cols lattice (shape), so hop
+    counts are lattice distances. consumptions holds the latest known
+    per-station consumption (the previous slot's, since the current slot's
+    load is only known at its end). Returns the decision list plus the ids
+    of consumers no source could serve at all.
     """
-    available = dict(surpluses)
-    decisions: list[AllocationDecision] = []
-    outages: list[int] = []
-    for consumer in consumer_order(demands, priority):
-        hops_to = {s: hops_fn(s, consumer) for s in available}
-        picked = lyapunov_pick(
+
+    def pick(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
+        return lyapunov_pick(
             consumer,
-            demands[consumer],
+            demand_J,
             available,
-            hops_to,
+            ring_sources(consumer, demand_J, available, shape, fraction_of),
             fraction_of,
             queues.get(consumer, 0.0),
             consumptions.get(consumer, 0.0),
             lam,
         )
-        if picked is None:
-            outages.append(consumer)
-            continue
-        available[picked.source_id] -= picked.gross_J
-        decisions.append(picked)
-    return decisions, outages
+
+    return _drive(demands, priority, surpluses, pick)
 
 
 def benchmark_allocate(
@@ -262,28 +338,30 @@ def benchmark_allocate(
     demands: Mapping[int, float],
     priority: frozenset[int],
     surpluses: Mapping[int, float],
-    hops_fn: HopsFn,
+    shape: Shape,
     fraction_of: FractionFn,
     rng: random.Random,
 ) -> tuple[list[AllocationDecision], list[int]]:
     """Shared slot driver for the radial and random source searches."""
     if policy not in ("radial", "random"):
         raise ConfigError(f"unknown benchmark policy {policy!r}")
-    available = dict(surpluses)
-    decisions: list[AllocationDecision] = []
-    outages: list[int] = []
-    for consumer in consumer_order(demands, priority):
-        hops_to = {s: hops_fn(s, consumer) for s in available}
-        if policy == "radial":
-            picked = radial_allocate(consumer, demands[consumer], available, hops_to, fraction_of)
-        else:
-            picked = random_allocate(consumer, demands[consumer], available, hops_to, fraction_of, rng)
-        if picked is None:
-            outages.append(consumer)
-            continue
-        available[picked.source_id] -= picked.gross_J
-        decisions.append(picked)
-    return decisions, outages
+    cols = shape[1]
+
+    def radial(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
+        hops_to = {
+            s: d
+            for d in range(1, RADIAL_MAX_RINGS + 1)
+            for s in ring_ids(consumer, d, shape)
+            if s in available
+        }
+        return radial_allocate(consumer, demand_J, available, hops_to, fraction_of)
+
+    def uniform(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
+        r0, c0 = divmod(consumer, cols)
+        hops_to = {s: abs(s // cols - r0) + abs(s % cols - c0) for s in available}
+        return random_allocate(consumer, demand_J, available, hops_to, fraction_of, rng)
+
+    return _drive(demands, priority, surpluses, radial if policy == "radial" else uniform)
 
 
 def allocate_slot(
@@ -291,19 +369,22 @@ def allocate_slot(
     demands: Mapping[int, float],
     priority: frozenset[int],
     surpluses: Mapping[int, float],
-    hops_fn: HopsFn,
+    shape: Shape,
     fraction_of: FractionFn,
     queues: Mapping[int, float],
     consumptions: Mapping[int, float],
     lam: float,
     rng: random.Random,
 ) -> tuple[list[AllocationDecision], list[int]]:
-    """Dispatch one slot's allocation to the configured policy."""
+    """Dispatch one slot's allocation to the configured policy.
+
+    shape is the (rows, cols) of the row-major station lattice.
+    """
     if policy == "lyapunov":
         return lyapunov_allocate(
-            demands, priority, surpluses, hops_fn, fraction_of, queues, consumptions, lam
+            demands, priority, surpluses, shape, fraction_of, queues, consumptions, lam
         )
-    return benchmark_allocate(policy, demands, priority, surpluses, hops_fn, fraction_of, rng)
+    return benchmark_allocate(policy, demands, priority, surpluses, shape, fraction_of, rng)
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,10 @@ class Simulation:
         self.harvest = harvest
         self.grid = config.make_grid()
         self.loss = config.loss_model()
+        # every hop count on the lattice, so allocation never re-derives a fraction
+        self.fractions = [
+            self.loss.delivered_fraction(d) for d in range(config.rows + config.cols - 1)
+        ]
         self.stations = config.make_stations()
         self.positions = {bs.id: bs.node for bs in self.stations}
         self.levels: dict[int, float] = {
@@ -355,9 +359,6 @@ class Simulation:
         )
         self.clock = SimClock(0, config.tau_s, config.mini_slot_s)
 
-    def _hops(self, source_id: int, consumer_id: int) -> int:
-        return self.grid.hop_count(self.positions[source_id], self.positions[consumer_id])
-
     def step(self, t: int) -> tuple[SlotMetrics, transfer.TransferOutcome]:
         cfg = self.config
         n = cfg.n_bs
@@ -384,8 +385,8 @@ class Simulation:
             demands,
             snapshot.serving,
             surpluses,
-            self._hops,
-            self.loss.delivered_fraction,
+            (cfg.rows, cfg.cols),
+            self.fractions.__getitem__,
             self.queues.values,
             self.prev_consumption,
             cfg.lam,

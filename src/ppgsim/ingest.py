@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -128,28 +129,34 @@ def resample_to_slots(
 
     Timestamps must be uniformly spaced with the slot length an exact
     multiple of the sample interval; any gap is reported with the window
-    it breaks. A trailing partial window is dropped.
+    it breaks. The interval is the whole span over the sample count, and
+    timestamps are compared to within a few ulps of their magnitude, so
+    epoch-scale timestamps work. A trailing partial window is dropped.
     """
-    if len(timestamps_s) != len(values):
+    n = len(timestamps_s)
+    if n != len(values):
         raise TraceFormatError("timestamp and value counts differ")
-    if len(timestamps_s) < 2:
+    if n < 2:
         raise TraceFormatError("need at least two samples to infer the interval")
-    interval = timestamps_s[1] - timestamps_s[0]
-    if interval <= 0:
+    first, last = timestamps_s[0], timestamps_s[-1]
+    step = timestamps_s[1] - first
+    interval = (last - first) / (n - 1)
+    if step <= 0 or interval <= 0:
         raise TraceFormatError("timestamps must be strictly increasing")
-    per_window = tau_s / interval
-    if abs(per_window - round(per_window)) > 1e-9 or round(per_window) < 1:
+    # a timestamp read from text is exact to half an ulp of its magnitude,
+    # so the difference of two is exact to one ulp
+    tol = max(1e-6, 4.0 * math.ulp(max(abs(first), abs(last))))
+    for i, (prev, t) in enumerate(pairwise(timestamps_s), start=1):
+        if abs(t - prev - step) > tol:
+            raise TraceFormatError(
+                f"gap in window {i // max(round(tau_s / step), 1)}: "
+                f"expected timestamp {prev + step}, got {t}"
+            )
+    per_window = round(tau_s / interval)
+    if per_window < 1 or abs(per_window * interval - tau_s) > tol:
         raise TraceFormatError(
             f"slot duration {tau_s}s is not a multiple of the sample interval {interval}s"
         )
-    per_window = round(per_window)
-    for i in range(1, len(timestamps_s)):
-        expected = timestamps_s[0] + i * interval
-        if abs(timestamps_s[i] - expected) > 1e-6:
-            raise TraceFormatError(
-                f"gap in window {i // per_window}: expected timestamp {expected}, "
-                f"got {timestamps_s[i]}"
-            )
     out = []
     for w in range(len(values) // per_window):
         out.append(sum(values[w * per_window : (w + 1) * per_window]))
@@ -331,5 +338,5 @@ def write_profiles(path: str | Path, clusters: Sequence[Sequence[float]]) -> Non
 def write_harvest(path: str | Path, solar_raw: Sequence[float], wind_raw: Sequence[float], tau_s: float) -> None:
     lines = [HARVEST_HEADER]
     for t, (s, w) in enumerate(zip(solar_raw, wind_raw)):
-        lines.append(f"{t * tau_s:g},{s!r},{w!r}")
+        lines.append(f"{t * tau_s!r},{s!r},{w!r}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -1,8 +1,10 @@
-"""Allocation policies: source splitting, drift-plus-penalty, benchmarks."""
+"""Allocation policies: source eligibility, drift-plus-penalty, benchmarks."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppgsim.allocation import (
     AllocationDecision,
@@ -11,13 +13,14 @@ from ppgsim.allocation import (
     benchmark_allocate,
     consumer_order,
     deliverable,
-    eligible_sources,
     lyapunov_allocate,
     lyapunov_pick,
     p2_score,
     queue_update,
     radial_allocate,
     random_allocate,
+    ring_ids,
+    ring_sources,
     theorem1_report,
 )
 from ppgsim.errors import ConfigError
@@ -28,41 +31,36 @@ LOSS = loss_model_for(GRID, 100e3, 5.0)
 FRACTION = LOSS.delivered_fraction
 
 
-def hops_between(positions):
-    def hops(s, c):
-        (r1, c1), (r2, c2) = positions[s], positions[c]
-        return abs(r1 - r2) + abs(c1 - c2)
-    return hops
+def pick(available, hops_to, demand):
+    return lyapunov_pick(9, demand, available, hops_to, FRACTION, 0.0, 0.0, 1.0)
 
 
 class TestEligibleSources:
+    """Which sources lyapunov_pick considers, and in which order."""
+
     def test_split_and_sort_by_hops(self):
-        available = {1: 50e3, 2: 30e3}
-        hops_to = {1: 2, 2: 1}
-        set_ge, set_lt = eligible_sources(available, hops_to, FRACTION, 27e3)
-        assert set_ge == [2, 1]
-        assert set_lt == []
+        # both cover the demand; the nearer one wins
+        assert pick({1: 50e3, 2: 30e3}, {1: 2, 2: 1}, 27e3).source_id == 2
 
     def test_loss_adjusted_split(self):
-        # 28 kJ at two hops only lands ~26.2 kJ, below a 27 kJ demand
+        # 28 kJ at two hops only lands ~26.2 kJ, below a 27 kJ demand, so
+        # the farther source that still lands ~27.2 kJ is preferred
         available = {1: 28e3, 2: 30e3}
-        hops_to = {1: 2, 2: 1}
-        set_ge, set_lt = eligible_sources(available, hops_to, FRACTION, 27e3)
-        assert set_ge == [2]
-        assert set_lt == [1]
+        hops_to = {1: 2, 2: 3}
+        assert deliverable(1, available, hops_to, FRACTION) < 27e3
+        picked = pick(available, hops_to, 27e3)
+        assert picked.source_id == 2
+        assert not picked.shortfall
 
     def test_empty(self):
-        assert eligible_sources({}, {}, FRACTION, 1.0) == ([], [])
+        assert pick({}, {}, 1.0) is None
 
     def test_tie_broken_by_id(self):
-        available = {7: 40e3, 3: 40e3}
-        hops_to = {7: 2, 3: 2}
-        set_ge, _ = eligible_sources(available, hops_to, FRACTION, 10e3)
-        assert set_ge == [3, 7]
+        assert pick({7: 40e3, 3: 40e3}, {7: 2, 3: 2}, 10e3).source_id == 3
 
     def test_zero_surplus_dropped(self):
-        set_ge, set_lt = eligible_sources({1: 0.0}, {1: 1}, FRACTION, 10e3)
-        assert set_ge == [] and set_lt == []
+        assert pick({1: 0.0}, {1: 1}, 10e3) is None
+        assert pick({1: 0.0, 2: 5e3}, {1: 1, 2: 3}, 10e3).source_id == 2
 
 
 class TestQueueUpdate:
@@ -165,11 +163,10 @@ class TestLyapunovAllocate:
         assert order == [8, 1, 3]
 
     def test_source_debited_across_consumers(self):
-        positions = {0: (0, 0), 1: (0, 1), 2: (0, 2)}
         demands = {1: 20e3, 2: 20e3}
         surpluses = {0: 25e3}
         decisions, outages = lyapunov_allocate(
-            demands, frozenset(), surpluses, hops_between(positions), FRACTION, {}, {}, 1.0
+            demands, frozenset(), surpluses, (1, 3), FRACTION, {}, {}, 1.0
         )
         total_gross = sum(d.gross_J for d in decisions if d.source_id == 0)
         assert total_gross <= 25e3 + 1e-9
@@ -179,7 +176,7 @@ class TestLyapunovAllocate:
 
     def test_outage_when_no_source(self):
         decisions, outages = lyapunov_allocate(
-            {5: 10e3}, frozenset(), {}, lambda s, c: 1, FRACTION, {}, {}, 1.0
+            {5: 10e3}, frozenset(), {}, (1, 6), FRACTION, {}, {}, 1.0
         )
         assert decisions == []
         assert outages == [5]
@@ -242,14 +239,195 @@ class TestRandom:
 class TestSlotDrivers:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
-            benchmark_allocate("greedy", {}, frozenset(), {}, lambda s, c: 1, FRACTION, random.Random(1))
+            benchmark_allocate("greedy", {}, frozenset(), {}, (1, 2), FRACTION, random.Random(1))
 
     def test_dispatch_matches_direct_call(self):
-        positions = {0: (0, 0), 1: (0, 1)}
-        args = ({1: 10e3}, frozenset(), {0: 50e3}, hops_between(positions), FRACTION)
+        args = ({1: 10e3}, frozenset(), {0: 50e3}, (1, 2), FRACTION)
         direct, _ = lyapunov_allocate(*args, {}, {}, 1.0)
         routed, _ = allocate_slot("lyapunov", *args, {}, {}, 1.0, random.Random(1))
         assert direct == routed
+
+
+# The sort-based slot drivers that the ring search replaced, kept as the
+# oracle: every source's hop count is computed, sources are sorted by
+# (hops, id), and spent sources stay in the map with a surplus of <= 0.
+
+
+def oracle_eligible_sources(available, hops_to, fraction_of, demand_J):
+    order = sorted((s for s in available if available[s] > 0.0), key=lambda s: (hops_to[s], s))
+    set_ge = [s for s in order if deliverable(s, available, hops_to, fraction_of) >= demand_J]
+    set_lt = [s for s in order if deliverable(s, available, hops_to, fraction_of) < demand_J]
+    return set_ge, set_lt
+
+
+def oracle_decision_for(source, consumer, available, hops, fraction_of, demand_J):
+    fraction = fraction_of(hops)
+    gross = min(demand_J / fraction, available[source])
+    return AllocationDecision(
+        source, consumer, gross, fraction, hops, shortfall=available[source] * fraction < demand_J
+    )
+
+
+def oracle_lyapunov_pick(consumer, demand_J, available, hops_to, fraction_of, queue_J, consumption_J, lam):
+    set_ge, set_lt = oracle_eligible_sources(available, hops_to, fraction_of, demand_J)
+    pool = set_ge if set_ge else set_lt
+    if not pool:
+        return None
+    best_hops = hops_to[pool[0]]
+    best = None
+    best_score = float("inf")
+    for s in pool:
+        if hops_to[s] != best_hops:
+            break
+        if set_ge:
+            candidate = oracle_decision_for(s, consumer, available, best_hops, fraction_of, demand_J)
+        else:
+            fraction = fraction_of(best_hops)
+            candidate = AllocationDecision(s, consumer, available[s], fraction, best_hops, shortfall=True)
+        score = p2_score(queue_J, consumption_J, lam, candidate.delivered_J)
+        if score < best_score:
+            best, best_score = candidate, score
+    return best
+
+
+def oracle_pick(policy, consumer, demand_J, available, hops_to, queues, consumptions, lam, rng):
+    if policy == "lyapunov":
+        return oracle_lyapunov_pick(
+            consumer, demand_J, available, hops_to, FRACTION,
+            queues.get(consumer, 0.0), consumptions.get(consumer, 0.0), lam,
+        )
+    if policy == "radial":
+        for ring in (1, 2):
+            hits = sorted(s for s in available if available[s] > 0.0 and hops_to[s] == ring)
+            if hits:
+                return oracle_decision_for(hits[0], consumer, available, ring, FRACTION, demand_J)
+        return None
+    pool = sorted(s for s in available if available[s] > 0.0)
+    if not pool:
+        return None
+    source = rng.choice(pool)
+    return oracle_decision_for(source, consumer, available, hops_to[source], FRACTION, demand_J)
+
+
+def oracle_allocate(policy, demands, priority, surpluses, shape, queues, consumptions, lam, rng):
+    cols = shape[1]
+
+    def hops(a, b):
+        return abs(a // cols - b // cols) + abs(a % cols - b % cols)
+
+    available = dict(surpluses)
+    decisions, outages = [], []
+    for consumer in consumer_order(demands, priority):
+        hops_to = {s: hops(s, consumer) for s in available}
+        picked = oracle_pick(policy, consumer, demands[consumer], available, hops_to, queues, consumptions, lam, rng)
+        if picked is None:
+            outages.append(consumer)
+            continue
+        available[picked.source_id] -= picked.gross_J
+        decisions.append(picked)
+    return decisions, outages
+
+
+# a few round amounts make exact ties between equally near sources likely
+AMOUNTS = st.sampled_from([0.0, 2e3, 10e3, 20e3, 27e3, 40e3]) | st.floats(1.0, 60e3)
+
+
+@st.composite
+def slots(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(2, 9))
+    n = rows * cols
+    roles = draw(st.lists(st.sampled_from("csn"), min_size=n, max_size=n))
+    consumers = [i for i, r in enumerate(roles) if r == "c"]
+    sources = [i for i, r in enumerate(roles) if r == "s"]
+    k = len(consumers)
+
+    def amounts(size, positive=False):
+        element = AMOUNTS.filter(lambda a: a > 0.0) if positive else AMOUNTS
+        return draw(st.lists(element, min_size=size, max_size=size))
+
+    demands = dict(zip(consumers, amounts(k, positive=True)))
+    surpluses = dict(zip(sources, amounts(len(sources))))
+    priority = frozenset(draw(st.sets(st.sampled_from(consumers)))) if consumers else frozenset()
+    queues = dict(zip(consumers, amounts(k)))
+    consumptions = dict(zip(consumers, amounts(k)))
+    lam = draw(st.sampled_from([0.0, 1.0, 1e3]))
+    return (demands, priority, surpluses, (rows, cols), queues, consumptions, lam)
+
+
+def run_both(policy, slot, seed=0):
+    demands, priority, surpluses, shape, queues, consumptions, lam = slot
+    new = allocate_slot(
+        policy, demands, priority, surpluses, shape, FRACTION, queues, consumptions, lam,
+        random.Random(seed),
+    )
+    old = oracle_allocate(
+        policy, demands, priority, surpluses, shape, queues, consumptions, lam, random.Random(seed)
+    )
+    return new, old
+
+
+class TestMatchesSortedScan:
+    """The ring search decides exactly what a sorted scan of every source decides."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(slots())
+    def test_lyapunov(self, slot):
+        new, old = run_both("lyapunov", slot)
+        assert new == old
+
+    @settings(max_examples=100, deadline=None)
+    @given(slots(), st.sampled_from(["radial", "random"]), st.integers(0, 5))
+    def test_benchmarks(self, slot, policy, seed):
+        new, old = run_both(policy, slot, seed)
+        assert new == old
+
+    def test_shortfall_fallback(self):
+        # no source can cover 50 kJ: the nearest one gives everything it has,
+        # although a larger source sits farther out
+        slot = ({0: 50e3}, frozenset(), {2: 20e3, 11: 40e3}, (2, 6), {}, {}, 1.0)
+        (decisions, outages), old = run_both("lyapunov", slot)
+        assert (decisions, outages) == old
+        assert [(d.source_id, d.shortfall) for d in decisions] == [(2, True)]
+
+    def test_outages_once_sources_are_spent(self):
+        slot = ({0: 30e3, 5: 30e3, 7: 30e3}, frozenset({7}), {3: 20e3}, (2, 4), {}, {}, 1.0)
+        (decisions, outages), old = run_both("lyapunov", slot)
+        assert (decisions, outages) == old
+        assert [d.consumer_id for d in decisions] == [7]
+        assert outages == [0, 5]
+
+    def test_score_breaks_tie_at_equal_hops(self):
+        # two inadequate sources one hop away: the smaller delivery scores lower
+        slot = ({5: 50e3}, frozenset(), {4: 30e3, 6: 20e3}, (1, 8), {5: 1e3}, {5: 2e3}, 1e3)
+        (decisions, _), old = run_both("lyapunov", slot)
+        assert decisions == old[0]
+        assert decisions[0].source_id == 6
+
+
+class TestRingSearch:
+    @given(st.integers(1, 8), st.integers(1, 9), st.data())
+    def test_rings_are_lattice_distances(self, rows, cols, data):
+        station = data.draw(st.integers(0, rows * cols - 1))
+        d = data.draw(st.integers(0, rows + cols))
+        expected = sorted(
+            s for s in range(rows * cols)
+            if abs(s // cols - station // cols) + abs(s % cols - station % cols) == d
+        )
+        assert sorted(ring_ids(station, d, (rows, cols))) == expected
+
+    def test_stops_after_first_adequate_ring(self):
+        available = {1: 5e3, 10: 50e3, 3: 50e3, 40: 50e3}
+        # consumer 0 on a 5x10 lattice: 1 is ring 1, 10 is ring 1, 3 is ring 3
+        assert ring_sources(0, 20e3, available, (5, 10), FRACTION) == {1: 1, 10: 1}
+
+    def test_stops_when_nothing_farther_can_cover(self):
+        available = {1: 5e3, 3: 6e3, 49: 7e3}
+        assert ring_sources(0, 20e3, available, (5, 10), FRACTION) == {1: 1}
+
+    def test_walks_out_to_a_far_adequate_source(self):
+        available = {1: 5e3, 49: 50e3}
+        assert ring_sources(0, 20e3, available, (5, 10), FRACTION) == {1: 1, 49: 13}
 
 
 class TestVirtualQueues:

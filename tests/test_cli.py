@@ -160,6 +160,12 @@ class TestTraceCommands:
         ])
         assert rc == EXIT_OK
 
+    def test_long_harvest_file_validates(self, tmp_path):
+        # 120 days of 60 s slots run past timestamp 1e7
+        out = tmp_path / "traces"
+        assert main(["gen-traces", "--out", str(out), "--seed", "3", "--days", "120"]) == EXIT_OK
+        assert main(["validate-traces", "--harvest", str(out / "harvest.csv")]) == EXIT_OK
+
     def test_validate_rejects_corrupt_profiles(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("slot,cluster0,cluster1,cluster2,cluster3\n0,2.0,0.5,0.5,0.5\n")

@@ -106,6 +106,24 @@ class TestResampling:
         with pytest.raises(TraceFormatError, match="gap in window"):
             resample_to_slots(timestamps, [1.0] * 4, 60.0)
 
+    def test_gap_window_number(self):
+        # 1 s samples, 60 per window; sample 130 (window 2) is missing
+        timestamps = [float(i) for i in range(300) if i != 130]
+        with pytest.raises(TraceFormatError, match="gap in window 2: expected timestamp 130.0, got 131.0"):
+            resample_to_slots(timestamps, [1.0] * len(timestamps), 60.0)
+
+    def test_epoch_timestamps(self):
+        # at 1.6e9 the first step reads 0.09999990463256836 s, not 0.1 s
+        timestamps = [1.6e9 + 0.1 * i for i in range(1200)]
+        assert timestamps[1] - timestamps[0] != 0.1
+        out = resample_to_slots(timestamps, [1.0] * 1200, 60.0)
+        assert out == [600.0, 600.0]
+
+    def test_epoch_timestamps_with_gap_rejected(self):
+        timestamps = [1.6e9 + 0.1 * i for i in range(1200) if i != 900]
+        with pytest.raises(TraceFormatError, match="gap in window 1"):
+            resample_to_slots(timestamps, [1.0] * len(timestamps), 60.0)
+
     def test_interval_larger_than_slot_rejected(self):
         with pytest.raises(TraceFormatError, match="not a multiple"):
             resample_to_slots([0.0, 90.0], [1.0, 1.0], 60.0)
@@ -182,6 +200,13 @@ class TestSynthetic:
         direct = synthetic_harvest(5, 2880, 490e3, 0.2)
         assert traces.solar_J == direct.solar_J
         assert traces.wind_J == direct.wind_J
+
+    def test_harvest_file_keeps_large_timestamps(self, tmp_path):
+        path = tmp_path / "harvest.csv"
+        write_harvest(path, [1.0] * 30, [0.5] * 30, 1234567.0)
+        timestamps, _, _ = parse_harvest(path)
+        assert timestamps == [t * 1234567.0 for t in range(30)]
+        assert load_harvest(path, 490e3, 1234567.0, 0.2).n_slots == 30
 
     def test_harvest_file_rejects_negative(self, tmp_path):
         path = tmp_path / "h.csv"
