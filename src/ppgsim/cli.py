@@ -178,8 +178,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"profiles ok: {args.profiles}")
     if args.harvest:
         timestamps, solar, wind = ingest.parse_harvest(args.harvest)
-        ingest.resample_to_slots(timestamps, solar, args.tau)
-        ingest.resample_to_slots(timestamps, wind, args.tau)
+        ingest.samples_per_slot(timestamps, args.tau)
         print(f"harvest ok: {args.harvest} ({len(timestamps)} samples)")
     return EXIT_OK
 

@@ -2,6 +2,12 @@
 
 All quantities are joules per time slot. Batteries are ideal: no
 charge/discharge or leakage losses, capped at capacity and clamped at zero.
+
+The per-slot rules work on plain floats: ``role_of`` reads a station's
+trading role from its reported level and ``battery_step`` advances one
+battery by one slot, grid purchase included. The engine calls them
+directly; ``classify_role``, ``eb_step_offgrid``, ``eb_step_ongrid`` and
+``grid_purchase`` wrap them for callers holding an ``EnergyBuffer``.
 """
 
 from __future__ import annotations
@@ -138,19 +144,62 @@ def bs_consumption(bs: BaseStation, load_fraction: float) -> float:
     return bs.idle_energy_J + load_energy(load_fraction, bs)
 
 
-def classify_role(buffer: EnergyBuffer, grid_connected: bool) -> BsRole:
-    """Decide source/consumer/neutral from the reported buffer level.
+def role_of(level_J: float, grid_connected: bool, low_J: float, up_J: float) -> tuple[str, float]:
+    """Trading role of a station at this level: (RoleKind value, amount).
 
     Levels strictly above the upper threshold are tradeable surplus. An
     off-grid station strictly below the lower threshold demands the gap.
     Grid-connected stations are never consumers; they cover deficits by
-    purchasing from the grid.
+    purchasing from the grid. A neutral station's amount is zero.
     """
-    if buffer.level_J > buffer.up_threshold_J:
-        return BsRole(RoleKind.SOURCE, buffer.level_J - buffer.up_threshold_J)
-    if buffer.level_J < buffer.low_threshold_J and not grid_connected:
-        return BsRole(RoleKind.CONSUMER, buffer.low_threshold_J - buffer.level_J)
-    return BsRole(RoleKind.NEUTRAL)
+    if level_J > up_J:
+        return "source", level_J - up_J
+    if level_J < low_J and not grid_connected:
+        return "consumer", low_J - level_J
+    return "neutral", 0.0
+
+
+def classify_role(buffer: EnergyBuffer, grid_connected: bool) -> BsRole:
+    """Decide source/consumer/neutral from the reported buffer level (see role_of)."""
+    kind, amount = role_of(
+        buffer.level_J, grid_connected, buffer.low_threshold_J, buffer.up_threshold_J
+    )
+    return BsRole(RoleKind(kind), amount)
+
+
+def battery_step(
+    level_J: float,
+    harvested_J: float,
+    consumed_J: float,
+    transferred_J: float,
+    grid_connected: bool,
+    capacity_J: float,
+    up_threshold_J: float,
+) -> tuple[float, float, bool, bool]:
+    """Advance one battery one slot: (new level, purchase, clamped, capped).
+
+    transferred_J is signed: positive when the station received energy,
+    negative when it sent some. An off-grid battery is capped at capacity
+    and clamped at zero (an empty battery cannot go negative; the engine
+    logs the shortfall). A grid-connected battery is floored at zero first,
+    then buys up to its upper threshold on that provisional level, capped
+    at capacity. clamped and capped say whether the raw sum, purchase
+    included, fell below zero or rose above capacity.
+    """
+    if not (0 <= level_J <= capacity_J):
+        raise ValueError(f"level {level_J} outside [0, {capacity_J}]")
+    if harvested_J < 0 or consumed_J < 0:
+        raise ValueError("harvested_J and consumed_J must be >= 0")
+    raw = level_J + harvested_J - consumed_J + transferred_J
+    if grid_connected:
+        floor = max(raw, 0.0)
+        purchase = max(up_threshold_J - min(floor, capacity_J), 0.0)
+        new_level = min(floor + purchase, capacity_J)
+        raw += purchase
+    else:
+        purchase = 0.0
+        new_level = max(min(raw, capacity_J), 0.0)
+    return new_level, purchase, raw < 0.0, raw > capacity_J
 
 
 def eb_step_offgrid(
@@ -159,19 +208,12 @@ def eb_step_offgrid(
     consumed_J: float,
     transferred_J: float,
 ) -> EnergyBuffer:
-    """Advance an off-grid battery one slot.
-
-    transferred_J is signed: positive when the station received energy,
-    negative when it sent some. The result is capped at capacity and
-    clamped at zero (an empty battery cannot go negative; the engine logs
-    the shortfall).
-    """
-    if harvested_J < 0 or consumed_J < 0:
-        raise ValueError("harvested_J and consumed_J must be >= 0")
-    new_level = buffer.level_J + harvested_J - consumed_J + transferred_J
-    new_level = min(new_level, buffer.capacity_J)
-    new_level = max(new_level, 0.0)
-    return buffer.with_level(new_level)
+    """Advance an off-grid battery one slot (see battery_step)."""
+    level, _, _, _ = battery_step(
+        buffer.level_J, harvested_J, consumed_J, transferred_J, False,
+        buffer.capacity_J, buffer.up_threshold_J,
+    )
+    return buffer.with_level(level)
 
 
 def eb_step_ongrid(
@@ -181,20 +223,22 @@ def eb_step_ongrid(
     transferred_J: float,
     purchased_J: float,
 ) -> EnergyBuffer:
-    """Advance an on-grid battery one slot; purchases add on top of flows.
+    """Advance an on-grid battery one slot; a given purchase adds on top of flows.
 
     The zero floor applies before the purchase: a battery drained empty
     mid-slot is refilled from zero, so a purchase sized against the
     (clamped) provisional level always lands the station at its upper
-    threshold.
+    threshold. The off-grid step supplies that floor; the cap it also
+    applies cannot change the result, since the purchase is never negative
+    and the sum is capped again.
     """
     if purchased_J < 0:
         raise ValueError("purchased_J must be >= 0")
-    if harvested_J < 0 or consumed_J < 0:
-        raise ValueError("harvested_J and consumed_J must be >= 0")
-    provisional = max(buffer.level_J + harvested_J - consumed_J + transferred_J, 0.0)
-    new_level = min(provisional + purchased_J, buffer.capacity_J)
-    return buffer.with_level(new_level)
+    provisional, _, _, _ = battery_step(
+        buffer.level_J, harvested_J, consumed_J, transferred_J, False,
+        buffer.capacity_J, buffer.up_threshold_J,
+    )
+    return buffer.with_level(min(provisional + purchased_J, buffer.capacity_J))
 
 
 def grid_purchase(buffer: EnergyBuffer) -> float:
@@ -204,4 +248,7 @@ def grid_purchase(buffer: EnergyBuffer) -> float:
     and transfers). Returns zero when the level is already at or above the
     threshold.
     """
-    return max(buffer.up_threshold_J - buffer.level_J, 0.0)
+    _, purchase, _, _ = battery_step(
+        buffer.level_J, 0.0, 0.0, 0.0, True, buffer.capacity_J, buffer.up_threshold_J
+    )
+    return purchase

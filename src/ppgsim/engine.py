@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from . import allocation, domain, ingest, mobility, topology, transfer
 from .allocation import TheoremDiagnostic, VirtualQueues
-from .domain import BaseStation, BsRole, EnergyBuffer, SimClock
+from .domain import BaseStation, EnergyBuffer, SimClock
 from .errors import ConfigError
 from .ingest import HarvestTraceSet, LoadProfileSet
 from .topology import LossModel, PpgGrid
@@ -330,26 +330,27 @@ class Simulation:
         ]
         self.stations = config.make_stations()
         self.positions = {bs.id: bs.node for bs in self.stations}
-        self.levels: dict[int, float] = {
-            bs.id: bs.buffer.level_J for bs in self.stations
-        }
-        self.queues = VirtualQueues(self.levels.keys())
-        self.prev_consumption: dict[int, float] = {bs.id: 0.0 for bs in self.stations}
+        # one int object per id, shared by every slot's role maps and id lists
+        self.ids = [bs.id for bs in self.stations]
+        self.on_grid = [bs.grid_connected for bs in self.stations]
+        # per-station state, indexed by station id
+        self.levels: list[float] = [bs.buffer.level_J for bs in self.stations]
+        self.queues = VirtualQueues(range(config.n_bs))
+        self.prev_consumption: dict[int, float] = dict.fromkeys(range(config.n_bs), 0.0)
         jitter_rng = random.Random(derive_seed(config.seed, _SEED_JITTER))
-        self.jitter = {
-            bs.id: 1.0
+        self.jitter = [
+            1.0
             if config.harvest_jitter == 0.0
             else jitter_rng.uniform(1.0 - config.harvest_jitter, 1.0 + config.harvest_jitter)
-            for bs in self.stations
-        }
-        self.mobility_rng = random.Random(derive_seed(config.seed, _SEED_MOBILITY))
+            for _ in self.stations
+        ]
         self.policy_rng = random.Random(derive_seed(config.seed, _SEED_POLICY))
-        self.bs_xy = mobility.bs_world_positions(config.rows, config.cols, config.bs_spacing_m)
         self.world_length_m = max((config.cols - 1) * config.bs_spacing_m, 1.0)
         mid_y = (config.rows - 1) * config.bs_spacing_m / 2.0
         lane_y = (mid_y - config.lane_gap_m / 2.0, mid_y + config.lane_gap_m / 2.0)
+        # the only draws from the mobility stream: speeds, positions, offsets
         self.groups = mobility.make_groups(
-            self.mobility_rng,
+            random.Random(derive_seed(config.seed, _SEED_MOBILITY)),
             config.n_vue_groups,
             config.members_per_group,
             self.world_length_m,
@@ -357,28 +358,34 @@ class Simulation:
             (config.speed_min_mps, config.speed_max_mps),
             config.offset_radius_m,
         )
-        self.clock = SimClock(0, config.tau_s, config.mini_slot_s)
 
     def step(self, t: int) -> tuple[SlotMetrics, transfer.TransferOutcome]:
         cfg = self.config
         n = cfg.n_bs
-        levels_start = [self.levels[i] for i in range(n)]
+        cap, low, up = cfg.beta_max_J, cfg.beta_low_J, cfg.beta_up_J
+        ids, on_grid = self.ids, self.on_grid
+        levels_start = tuple(self.levels)
 
         # mobility first: the association set is this slot's priority input
         self.groups = [
-            mobility.rpgm_step(
-                g, cfg.tau_s, self.world_length_m, cfg.offset_radius_m, self.mobility_rng
-            )
-            for g in self.groups
+            mobility.rpgm_step(g, cfg.tau_s, self.world_length_m) for g in self.groups
         ]
-        snapshot = mobility.association_set(t, self.groups, self.bs_xy)
+        snapshot = mobility.association_set(
+            t, self.groups, cfg.rows, cfg.cols, cfg.bs_spacing_m
+        )
 
-        roles: list[BsRole] = []
-        for bs in self.stations:
-            buffer = cfg.make_buffer(self.levels[bs.id])
-            roles.append(domain.classify_role(buffer, bs.grid_connected))
-        demands = {bs.id: r.amount_J for bs, r in zip(self.stations, roles) if r.is_consumer}
-        surpluses = {bs.id: r.amount_J for bs, r in zip(self.stations, roles) if r.is_source}
+        roles: list[str] = []
+        demands: dict[int, float] = {}
+        surpluses: dict[int, float] = {}
+        for i, level in zip(ids, levels_start):
+            if not (0 <= level <= cap):
+                raise ValueError(f"station {i}: level {level} outside [0, {cap}]")
+            role, amount = domain.role_of(level, on_grid[i], low, up)
+            roles.append(role)
+            if role == "consumer":
+                demands[i] = amount
+            elif role == "source":
+                surpluses[i] = amount
 
         decisions, outage_ids = allocation.allocate_slot(
             cfg.policy,
@@ -404,63 +411,48 @@ class Simulation:
             cfg.phi_max_J,
             cfg.delta_s,
         )
+        flows = outcome.flows(n)
 
-        consumption = []
-        harvested = []
         solar, wind = self.harvest.sample(t)
-        for bs in self.stations:
-            load = self.profiles.load_at(bs.id, t)
-            consumption.append(domain.bs_consumption(bs, load))
-            harvested.append(
-                self.jitter[bs.id]
-                * ingest.harvest_select(solar, wind, cfg.offpeak_threshold_J)
-            )
+        harvest_J = ingest.harvest_select(solar, wind, cfg.offpeak_threshold_J)
+        harvested = [j * harvest_J for j in self.jitter]
+        consumption = [
+            domain.bs_consumption(bs, self.profiles.load_at(bs.id, t)) for bs in self.stations
+        ]
 
         purchases = [0.0] * n
         clamped: list[int] = []
         capped: list[int] = []
-        for bs in self.stations:
-            i = bs.id
-            buffer = cfg.make_buffer(self.levels[i])
-            flow = outcome.flow(i)
-            raw = self.levels[i] + harvested[i] - consumption[i] + flow
-            if bs.grid_connected:
-                provisional = min(max(raw, 0.0), cfg.beta_max_J)
-                purchases[i] = domain.grid_purchase(cfg.make_buffer(provisional))
-                updated = domain.eb_step_ongrid(
-                    buffer, harvested[i], consumption[i], flow, purchases[i]
-                )
-                raw += purchases[i]
-            else:
-                updated = domain.eb_step_offgrid(buffer, harvested[i], consumption[i], flow)
-            if raw < 0.0:
+        for i in ids:
+            self.levels[i], purchases[i], below, above = domain.battery_step(
+                levels_start[i], harvested[i], consumption[i], flows[i], on_grid[i], cap, up
+            )
+            if below:
                 clamped.append(i)
-            if raw > cfg.beta_max_J:
+            if above:
                 capped.append(i)
-            self.levels[i] = updated.level_J
 
         delivered = [0.0] * n
         gross_out = [0.0] * n
         for d in decisions:
             delivered[d.consumer_id] += d.delivered_J
             gross_out[d.source_id] += d.gross_J
-        queue_snapshot = tuple(self.queues.get(i) for i in range(n))
+        queue_snapshot = tuple(self.queues.values.values())
         for i in range(n):
-            self.queues.advance(i, delivered[i], cfg.beta_max_J)
+            self.queues.advance(i, delivered[i], cap)
 
-        self.prev_consumption = {i: consumption[i] for i in range(n)}
-        self.clock = self.clock.advanced()
+        self.prev_consumption = dict(enumerate(consumption))
 
         return SlotMetrics(
             slot=t,
-            level_J=tuple(levels_start),
-            level_end_J=tuple(self.levels[i] for i in range(n)),
+            level_J=levels_start,
+            level_end_J=tuple(self.levels),
             queue_J=queue_snapshot,
-            role=tuple(r.kind.value for r in roles),
+            role=tuple(roles),
             demand_J=tuple(demands.get(i, 0.0) for i in range(n)),
             delivered_J=tuple(delivered),
             gross_out_J=tuple(gross_out),
-            flow_J=tuple(outcome.flow(i) for i in range(n)),
+            flow_J=tuple(flows),
             purchase_J=tuple(purchases),
             harvest_J=tuple(harvested),
             consumption_J=tuple(consumption),
@@ -485,7 +477,11 @@ class Simulation:
             jobs.extend((t, job) for job in outcome.jobs)
             grants.extend(outcome.grants)
             if collect_trajectories:
-                trajectories.extend(mobility.trajectory_rows(t, self.groups, self.bs_xy))
+                trajectories.extend(
+                    mobility.trajectory_rows(
+                        t, self.groups, cfg.rows, cfg.cols, cfg.bs_spacing_m
+                    )
+                )
             for i in range(cfg.n_bs):
                 queue_history[i].append(metrics.queue_J[i])
         theorem = None

@@ -129,13 +129,21 @@ def resample_to_slots(
 
     Timestamps must be uniformly spaced with the slot length an exact
     multiple of the sample interval; any gap is reported with the window
-    it breaks. The interval is the whole span over the sample count, and
-    timestamps are compared to within a few ulps of their magnitude, so
-    epoch-scale timestamps work. A trailing partial window is dropped.
+    it breaks (see samples_per_slot). A trailing partial window is dropped.
+    """
+    if len(timestamps_s) != len(values):
+        raise TraceFormatError("timestamp and value counts differ")
+    return window_sums(values, samples_per_slot(timestamps_s, tau_s))
+
+
+def samples_per_slot(timestamps_s: Sequence[float], tau_s: float) -> int:
+    """Check the sample timestamps and return how many fill one tau-length slot.
+
+    The interval is the whole span over the sample count, and timestamps
+    are compared to within a few ulps of their magnitude, so epoch-scale
+    timestamps work.
     """
     n = len(timestamps_s)
-    if n != len(values):
-        raise TraceFormatError("timestamp and value counts differ")
     if n < 2:
         raise TraceFormatError("need at least two samples to infer the interval")
     first, last = timestamps_s[0], timestamps_s[-1]
@@ -157,10 +165,15 @@ def resample_to_slots(
         raise TraceFormatError(
             f"slot duration {tau_s}s is not a multiple of the sample interval {interval}s"
         )
-    out = []
-    for w in range(len(values) // per_window):
-        out.append(sum(values[w * per_window : (w + 1) * per_window]))
-    return out
+    return per_window
+
+
+def window_sums(values: Sequence[float], per_window: int) -> list[float]:
+    """Sum consecutive runs of per_window values; a trailing partial run is dropped."""
+    return [
+        sum(values[w * per_window : (w + 1) * per_window])
+        for w in range(len(values) // per_window)
+    ]
 
 
 def scale_harvest(
@@ -216,9 +229,13 @@ def load_harvest(
     solar_peak_fraction: float,
 ) -> HarvestTraceSet:
     timestamps, solar, wind = parse_harvest(path)
-    solar_slots = resample_to_slots(timestamps, solar, tau_s)
-    wind_slots = resample_to_slots(timestamps, wind, tau_s)
-    return scale_harvest(solar_slots, wind_slots, beta_max_J, solar_peak_fraction)
+    per_window = samples_per_slot(timestamps, tau_s)
+    return scale_harvest(
+        window_sums(solar, per_window),
+        window_sums(wind, per_window),
+        beta_max_J,
+        solar_peak_fraction,
+    )
 
 
 # ---------------------------------------------------------------------------

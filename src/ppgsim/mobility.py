@@ -2,17 +2,18 @@
 
 Each group is one vehicle carrying a handful of users; the group reference
 point moves at constant signed speed along the highway axis (the grid's
-long axis) and wraps around at the world edge. Member offsets are re-drawn
-inside a bounded radius every step. Associations go to the nearest base
-station, lowest id on ties.
+long axis) and wraps around at the world edge. Member offsets are drawn
+once, inside a bounded radius, when the group is spawned; nothing reads
+them afterwards, since association and trajectories use the reference
+point. Associations go to the nearest base station, lowest id on ties.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -82,44 +83,65 @@ def make_groups(
     return groups
 
 
-def rpgm_step(
-    group: VueGroup,
-    tau_s: float,
-    world_length_m: float,
-    offset_radius_m: float,
-    rng: random.Random,
-) -> VueGroup:
-    """Advance one slot: move the reference point, re-draw member offsets."""
-    new_x = (group.x_m + group.velocity_mps * tau_s) % world_length_m
-    offsets = tuple(_draw_offset(rng, offset_radius_m) for _ in group.member_offsets)
-    return replace(group, x_m=new_x, member_offsets=offsets)
+def rpgm_step(group: VueGroup, tau_s: float, world_length_m: float) -> VueGroup:
+    """Advance one slot: move the reference point, wrapping at the world edge."""
+    return VueGroup(
+        group.group_id,
+        (group.x_m + group.velocity_mps * tau_s) % world_length_m,
+        group.y_m,
+        group.velocity_mps,
+        group.lane,
+        group.member_offsets,
+    )
 
 
-def nearest_bs(x_m: float, y_m: float, bs_xy: Mapping[int, tuple[float, float]]) -> int:
-    best_id = -1
-    best_d = math.inf
-    for bs_id in sorted(bs_xy):
-        bx, by = bs_xy[bs_id]
-        d = (bx - x_m) ** 2 + (by - y_m) ** 2
-        if d < best_d:  # strict: lowest id wins exact ties
-            best_d = d
-            best_id = bs_id
-    return best_id
+def nearest_bs(x_m: float, y_m: float, rows: int, cols: int, spacing_m: float) -> int:
+    """Id of the station nearest to (x, y) on the lattice; lowest id on exact ties.
+
+    Stations sit at (c * spacing, r * spacing), ids row-major. On each axis
+    only the lattice lines either side of the point, clamped to the grid,
+    can be nearest, so the 2x2 block of them is compared with the distance
+    expression of a scan over bs_world_positions, ties going to the lower id.
+    The two agree while a point lies within about 1e7 spacings of the grid;
+    farther out, rounding can make stations beyond the block tie with it.
+    """
+    c0 = min(max(math.floor(x_m / spacing_m), 0), cols - 1)
+    r0 = min(max(math.floor(y_m / spacing_m), 0), rows - 1)
+    c1 = min(c0 + 1, cols - 1)
+    r1 = min(r0 + 1, rows - 1)
+    dx0 = (c0 * spacing_m - x_m) ** 2
+    dx1 = (c1 * spacing_m - x_m) ** 2
+    dy0 = (r0 * spacing_m - y_m) ** 2
+    dy1 = (r1 * spacing_m - y_m) ** 2
+    return min(
+        (dx0 + dy0, r0 * cols + c0),
+        (dx1 + dy0, r0 * cols + c1),
+        (dx0 + dy1, r1 * cols + c0),
+        (dx1 + dy1, r1 * cols + c1),
+    )[1]
 
 
 def association_set(
     slot_index: int,
     groups: Sequence[VueGroup],
-    bs_xy: Mapping[int, tuple[float, float]],
+    rows: int,
+    cols: int,
+    spacing_m: float,
 ) -> AssociationSnapshot:
     """Stations currently serving at least one vehicle group."""
-    serving = frozenset(nearest_bs(g.x_m, g.y_m, bs_xy) for g in groups)
+    serving = frozenset(nearest_bs(g.x_m, g.y_m, rows, cols, spacing_m) for g in groups)
     return AssociationSnapshot(slot_index=slot_index, serving=serving)
 
 
-def trajectory_rows(slot_index: int, groups: Sequence[VueGroup], bs_xy: Mapping[int, tuple[float, float]]) -> list[tuple[int, int, float, float, int]]:
+def trajectory_rows(
+    slot_index: int,
+    groups: Sequence[VueGroup],
+    rows: int,
+    cols: int,
+    spacing_m: float,
+) -> list[tuple[int, int, float, float, int]]:
     """Debug dump rows: (slot, group, x, y, serving_bs), one per vehicle."""
     return [
-        (slot_index, g.group_id, g.x_m, g.y_m, nearest_bs(g.x_m, g.y_m, bs_xy))
+        (slot_index, g.group_id, g.x_m, g.y_m, nearest_bs(g.x_m, g.y_m, rows, cols, spacing_m))
         for g in groups
     ]

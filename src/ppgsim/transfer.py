@@ -78,6 +78,10 @@ class TransferOutcome:
     def flow(self, bs_id: int) -> float:
         return self.net_flow_J.get(bs_id, 0.0)
 
+    def flows(self, n: int) -> list[float]:
+        """Net flow of stations 0..n-1, zero for a station no transfer touched."""
+        return [self.net_flow_J.get(i, 0.0) for i in range(n)]
+
 
 def _earliest_start(grid: PpgGrid, route: Route, length: int) -> int:
     """First mini-slot index at which every link of the route is free for `length` slots."""

@@ -1,8 +1,11 @@
 """Battery arithmetic and role classification."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppgsim.domain import (
     BaseStation,
@@ -11,12 +14,14 @@ from ppgsim.domain import (
     HarvestSample,
     RoleKind,
     SimClock,
+    battery_step,
     bs_consumption,
     classify_role,
     eb_step_offgrid,
     eb_step_ongrid,
     grid_purchase,
     load_energy,
+    role_of,
 )
 
 
@@ -218,3 +223,78 @@ class TestGridPurchase:
             e = grid_purchase(make_buffer(provisional))
             out = eb_step_ongrid(make_buffer(level), h, c, 0.0, e)
             assert out.level_J >= 343e3 - 1e-9
+
+
+class TestRoleOf:
+    def test_kinds_match_role_enum(self):
+        assert role_of(400e3, False, 147e3, 343e3) == (RoleKind.SOURCE.value, 400e3 - 343e3)
+        assert role_of(100e3, False, 147e3, 343e3) == (RoleKind.CONSUMER.value, 147e3 - 100e3)
+        assert role_of(100e3, True, 147e3, 343e3) == (RoleKind.NEUTRAL.value, 0.0)
+
+    def test_thresholds_are_neutral(self):
+        assert role_of(147e3, False, 147e3, 343e3) == ("neutral", 0.0)
+        assert role_of(343e3, False, 147e3, 343e3) == ("neutral", 0.0)
+
+
+CAP, UP = 490e3, 343e3
+
+
+def engine_battery_update(level, h, c, flow, grid_connected, cap, up):
+    """Reference: the engine's per-station update before battery_step existed.
+
+    It built an EnergyBuffer for the level, priced the purchase on the
+    clamped provisional level, ran eb_step_ongrid/eb_step_offgrid on the
+    buffer and flagged clamp and cap on the raw sum plus the purchase.
+    """
+    if not (0 <= level <= cap):
+        raise ValueError("level out of range")
+    if h < 0 or c < 0:
+        raise ValueError("negative harvest or consumption")
+    raw = level + h - c + flow
+    if grid_connected:
+        provisional = min(max(raw, 0.0), cap)
+        purchase = max(up - provisional, 0.0)
+        new_level = min(max(level + h - c + flow, 0.0) + purchase, cap)
+        raw += purchase
+    else:
+        purchase = 0.0
+        new_level = min(level + h - c + flow, cap)
+        new_level = max(new_level, 0.0)
+    return new_level, purchase, raw < 0.0, raw > cap
+
+
+LEVELS = st.sampled_from([0.0, 147e3, UP, CAP]) | st.floats(0.0, CAP)
+ENERGIES = st.sampled_from([0.0, UP, CAP]) | st.floats(0.0, 2 * CAP)
+FLOWS = st.sampled_from([0.0, -UP, UP, CAP]) | st.floats(-2 * CAP, 2 * CAP)
+
+
+class TestBatteryStep:
+    @settings(max_examples=1000, deadline=None)
+    @given(LEVELS, ENERGIES, ENERGIES, FLOWS, st.booleans())
+    def test_matches_engine_arithmetic(self, level, h, c, flow, grid_connected):
+        got = battery_step(level, h, c, flow, grid_connected, CAP, UP)
+        assert got == engine_battery_update(level, h, c, flow, grid_connected, CAP, UP)
+
+    def test_clamp_and_cap_flags(self):
+        assert battery_step(1e3, 0.0, 5e3, 0.0, False, CAP, UP) == (0.0, 0.0, True, False)
+        assert battery_step(485e3, 20e3, 5e3, 0.0, False, CAP, UP) == (CAP, 0.0, False, True)
+        # on-grid: the purchase refills an emptied battery, so no clamp
+        assert battery_step(1e3, 0.0, 5e3, 0.0, True, CAP, UP) == (UP, UP, False, False)
+        assert battery_step(CAP, 10e3, 0.0, 0.0, True, CAP, UP) == (CAP, 0.0, False, True)
+
+    def test_levels_at_bounds_accepted(self):
+        for level in (0.0, UP, CAP):
+            battery_step(level, 0.0, 0.0, 0.0, False, CAP, UP)
+
+    @pytest.mark.parametrize(
+        "level", [math.nan, -1.0, -5e-324, math.nextafter(CAP, math.inf), math.inf]
+    )
+    def test_rejects_level_outside_range(self, level):
+        with pytest.raises(ValueError):
+            battery_step(level, 0.0, 0.0, 0.0, True, CAP, UP)
+
+    def test_rejects_negative_inputs(self):
+        with pytest.raises(ValueError):
+            battery_step(1e3, -1.0, 0.0, 0.0, False, CAP, UP)
+        with pytest.raises(ValueError):
+            battery_step(1e3, 0.0, -1.0, 0.0, True, CAP, UP)

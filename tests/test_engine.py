@@ -1,9 +1,11 @@
 """Per-slot loop semantics, run orchestration, and output determinism."""
 
 import dataclasses
+import math
 
 import pytest
 
+from ppgsim import cli, engine
 from ppgsim.engine import (
     SimConfig,
     Simulation,
@@ -120,7 +122,7 @@ class TestStepSemantics:
         cfg = SimConfig(horizon_slots=3, idle_energy_J=6e3, on_grid_ids=())
         profiles, harvest = quiet_traces(cfg, load=0.0)
         sim = Simulation(cfg, profiles, harvest)
-        start = dict(sim.levels)
+        start = list(sim.levels)
         sim.step(0)
         for i in range(cfg.n_bs):
             assert sim.levels[i] == pytest.approx(start[i] - 6e3)
@@ -135,6 +137,15 @@ class TestStepSemantics:
                 delta = m.level_end_J[i] - m.level_J[i]
                 flows = m.harvest_J[i] + m.flow_J[i] + m.purchase_J[i] - m.consumption_J[i]
                 assert delta == pytest.approx(flows, abs=1e-6)
+
+    @pytest.mark.parametrize("level", [math.nan, -1.0, 490e3 + 1.0])
+    def test_level_outside_range_rejected(self, level):
+        cfg = SimConfig(horizon_slots=1)
+        profiles, harvest = quiet_traces(cfg)
+        sim = Simulation(cfg, profiles, harvest)
+        sim.levels[4] = level
+        with pytest.raises(ValueError, match="station 4"):
+            sim.step(0)
 
     def test_association_feeds_priority(self, reference_config):
         cfg = dataclasses.replace(reference_config, horizon_slots=10)
@@ -235,3 +246,38 @@ class TestOutputs:
         assert run(cfg).trajectories == []
         result = run(cfg, collect_trajectories=True)
         assert len(result.trajectories) == 4 * cfg.n_vue_groups
+
+
+class TestStepContract:
+    """Simulation.step, Simulation.run, write_outputs and emit_plot_data are
+    the seams a caller wraps to count slots and time the step loop and the
+    writes, so each run must go through them."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name, calls):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_run_steps_once_per_slot(self, monkeypatch):
+        calls = {}
+        self.count_calls(monkeypatch, Simulation, "step", calls)
+        self.count_calls(monkeypatch, Simulation, "run", calls)
+        cfg = SimConfig(horizon_slots=7)
+        result = run(cfg)
+        assert calls == {"step": 7, "run": 1}
+        assert [m.slot for m in result.slots] == list(range(7))
+
+    def test_compare_writes_through_hooks(self, monkeypatch, tmp_path):
+        calls = {}
+        self.count_calls(monkeypatch, Simulation, "step", calls)
+        self.count_calls(monkeypatch, Simulation, "run", calls)
+        self.count_calls(monkeypatch, engine, "write_outputs", calls)
+        self.count_calls(monkeypatch, cli, "emit_plot_data", calls)
+        argv = ["compare", "--horizon", "5", "--policies", "lyapunov,radial", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert calls == {"step": 10, "run": 2, "write_outputs": 2, "emit_plot_data": 1}

@@ -135,6 +135,26 @@ class TestResampling:
         out = resample_to_slots(timestamps, values, 60.0)
         assert sum(out) == pytest.approx(sum(values), rel=1e-12)
 
+    def test_load_harvest_sums_both_columns_per_window(self, tmp_path):
+        rng = random.Random(9)
+        solar = [rng.uniform(0, 5) for _ in range(600)]
+        wind = [rng.uniform(0, 1) for _ in range(600)]
+        rows = [f"{i * 6},{s!r},{w!r}\n" for i, (s, w) in enumerate(zip(solar, wind))]
+        path = tmp_path / "harvest.csv"
+        path.write_text("timestamp_s,solar,wind\n" + "".join(rows))
+        timestamps = [i * 6.0 for i in range(600)]
+        expected = scale_harvest(
+            resample_to_slots(timestamps, solar, 60.0),
+            resample_to_slots(timestamps, wind, 60.0),
+            490e3,
+            0.2,
+        )
+        assert load_harvest(path, 490e3, 60.0, 0.2) == expected
+        del rows[25]
+        path.write_text("timestamp_s,solar,wind\n" + "".join(rows))
+        with pytest.raises(TraceFormatError, match="gap in window 2: expected timestamp 150"):
+            load_harvest(path, 490e3, 60.0, 0.2)
+
 
 class TestScaling:
     def test_peak_maps_to_fraction_of_capacity(self):

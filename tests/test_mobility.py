@@ -3,6 +3,9 @@
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ppgsim.mobility import (
     VueGroup,
     association_set,
@@ -21,34 +24,48 @@ def make_group(x=100.0, v=10.0, members=3):
     return VueGroup(0, x, 748.0, v, 0, tuple((0.0, 0.0) for _ in range(members)))
 
 
+def scan_nearest(x_m, y_m, bs_xy):
+    """Reference: scan every station in id order, strict < so the lowest id wins ties."""
+    best_id = -1
+    best_d = math.inf
+    for bs_id in sorted(bs_xy):
+        bx, by = bs_xy[bs_id]
+        d = (bx - x_m) ** 2 + (by - y_m) ** 2
+        if d < best_d:
+            best_d = d
+            best_id = bs_id
+    return best_id
+
+
 class TestStepping:
     def test_stationary_group(self):
         g = make_group(v=0.0)
-        stepped = rpgm_step(g, 60.0, WORLD, RADIUS, random.Random(1))
+        stepped = rpgm_step(g, 60.0, WORLD)
         assert stepped.x_m == g.x_m
 
     def test_advances_velocity_times_slot(self):
         g = make_group(x=100.0, v=10.0)
-        stepped = rpgm_step(g, 60.0, WORLD, RADIUS, random.Random(1))
+        stepped = rpgm_step(g, 60.0, WORLD)
         assert stepped.x_m == 700.0
 
     def test_wraps_at_world_edge(self):
         g = make_group(x=2400.0, v=10.0)
-        stepped = rpgm_step(g, 60.0, WORLD, RADIUS, random.Random(1))
+        stepped = rpgm_step(g, 60.0, WORLD)
         assert stepped.x_m == 500.0
 
     def test_reverse_lane_wraps_below_zero(self):
         g = VueGroup(1, 100.0, 752.0, -10.0, 1, ((0.0, 0.0),))
-        stepped = rpgm_step(g, 60.0, WORLD, RADIUS, random.Random(1))
+        stepped = rpgm_step(g, 60.0, WORLD)
         assert stepped.x_m == 2000.0
 
     def test_offsets_bounded(self):
-        rng = random.Random(3)
-        g = make_group(members=4)
-        for _ in range(2500):
-            g = rpgm_step(g, 60.0, WORLD, RADIUS, rng)
+        # offsets are drawn once, when the groups are spawned, and kept
+        groups = make_groups(random.Random(3), 200, 4, WORLD, (748.0, 752.0), (10.0, 30.0), RADIUS)
+        for g in groups:
+            assert len(g.member_offsets) == 4
             for dx, dy in g.member_offsets:
                 assert math.hypot(dx, dy) <= RADIUS
+            assert rpgm_step(g, 60.0, WORLD).member_offsets == g.member_offsets
 
     def test_deterministic_under_seed(self):
         runs = []
@@ -56,7 +73,7 @@ class TestStepping:
             rng = random.Random(42)
             groups = make_groups(rng, 10, 3, WORLD, (748.0, 752.0), (10.0, 30.0), RADIUS)
             for _ in range(50):
-                groups = [rpgm_step(g, 60.0, WORLD, RADIUS, rng) for g in groups]
+                groups = [rpgm_step(g, 60.0, WORLD) for g in groups]
             runs.append([(g.x_m, g.y_m, g.member_offsets) for g in groups])
         assert runs[0] == runs[1]
 
@@ -65,39 +82,67 @@ class TestStepping:
         groups = make_groups(rng, 10, 3, WORLD, (748.0, 752.0), (10.0, 30.0), RADIUS)
         signs = [math.copysign(1, g.velocity_mps) for g in groups]
         for _ in range(100):
-            groups = [rpgm_step(g, 60.0, WORLD, RADIUS, rng) for g in groups]
+            groups = [rpgm_step(g, 60.0, WORLD) for g in groups]
         assert [math.copysign(1, g.velocity_mps) for g in groups] == signs
+
+
+@st.composite
+def lattice_points(draw):
+    """A lattice and a point on, between, halfway between or outside its stations."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 12))
+    spacing = draw(st.sampled_from([500.0, 333.3, 100.0, 0.7]) | st.floats(0.01, 1e4))
+
+    def coordinate(n):
+        halves = st.integers(-6, 2 * n + 6).map(lambda k: k * spacing / 2.0)
+        anywhere = st.floats(-3.0 * spacing, (n + 2.0) * spacing)
+        return draw(halves | anywhere)
+
+    return rows, cols, spacing, coordinate(cols), coordinate(rows)
 
 
 class TestAssociation:
     def test_exact_position_wins(self):
-        bs_xy = bs_world_positions(4, 6, 500.0)
-        assert nearest_bs(1000.0, 500.0, bs_xy) == 8  # (1, 2) -> id 8
+        assert nearest_bs(1000.0, 500.0, 4, 6, 500.0) == 8  # (1, 2) -> id 8
 
     def test_tie_goes_to_lower_id(self):
-        bs_xy = {4: (0.0, 0.0), 5: (100.0, 0.0)}
-        assert nearest_bs(50.0, 10.0, bs_xy) == 4
+        assert nearest_bs(50.0, 10.0, 1, 2, 100.0) == 0
+        # a cell centre is equally far from four stations
+        assert nearest_bs(750.0, 250.0, 4, 6, 500.0) == 1
+
+    @settings(max_examples=500, deadline=None)
+    @given(lattice_points())
+    def test_matches_full_scan(self, case):
+        rows, cols, spacing, x, y = case
+        expected = scan_nearest(x, y, bs_world_positions(rows, cols, spacing))
+        assert nearest_bs(x, y, rows, cols, spacing) == expected
+
+    def test_single_row_and_single_column(self):
+        for rows, cols in ((1, 7), (7, 1)):
+            bs_xy = bs_world_positions(rows, cols, 500.0)
+            for k in range(-4, 2 * max(rows, cols) + 4):
+                for x, y in ((k * 250.0, 3.0), (3.0, k * 250.0), (k * 250.0, -900.0)):
+                    assert nearest_bs(x, y, rows, cols, 500.0) == scan_nearest(x, y, bs_xy)
 
     def test_all_groups_in_one_cell(self):
-        bs_xy = bs_world_positions(4, 6, 500.0)
         groups = [
             VueGroup(i, 510.0 + i, 498.0, 10.0, 0, ((0.0, 0.0),)) for i in range(10)
         ]
-        snap = association_set(0, groups, bs_xy)
+        snap = association_set(0, groups, 4, 6, 500.0)
         assert snap.serving == frozenset({7})
 
     def test_snapshot_size_bounded_by_groups(self):
         rng = random.Random(5)
-        bs_xy = bs_world_positions(4, 6, 500.0)
         groups = make_groups(rng, 10, 3, WORLD, (748.0, 752.0), (10.0, 30.0), RADIUS)
-        snap = association_set(0, groups, bs_xy)
+        snap = association_set(0, groups, 4, 6, 500.0)
         assert len(snap.serving) <= 10
         assert all(0 <= b < 24 for b in snap.serving)
 
     def test_trajectory_rows_one_per_group(self):
         rng = random.Random(5)
-        bs_xy = bs_world_positions(4, 6, 500.0)
         groups = make_groups(rng, 7, 3, WORLD, (748.0, 752.0), (10.0, 30.0), RADIUS)
-        rows = trajectory_rows(3, groups, bs_xy)
+        rows = trajectory_rows(3, groups, 4, 6, 500.0)
         assert len(rows) == 7
         assert all(row[0] == 3 for row in rows)
+        snap = association_set(3, groups, 4, 6, 500.0)
+        assert {row[4] for row in rows} == snap.serving
