@@ -26,9 +26,10 @@ surplus is spent drops out of the slot.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 
@@ -77,6 +78,17 @@ class VirtualQueues:
 
     def advance(self, bs_id: int, delivered_J: float, cap_J: float) -> None:
         self.values[bs_id] = queue_update(self.values[bs_id], delivered_J, cap_J)
+
+    def advance_all(self, delivered_J: Sequence[float], cap_J: float) -> None:
+        """Advance every queue one slot, as queue_update does; delivered_J is in id order.
+
+        Queues never go negative, so only the slot's inputs are checked.
+        """
+        if cap_J < 0 or min(delivered_J, default=0.0) < 0:
+            raise ValueError("queue inputs must be >= 0")
+        values = self.values
+        for bs_id, delivered in zip(values, delivered_J):
+            values[bs_id] = max(values[bs_id] + delivered - cap_J, 0.0)
 
 
 def queue_update(queue_J: float, delivered_J: float, cap_J: float) -> float:
@@ -178,16 +190,22 @@ def lyapunov_pick(
     return AllocationDecision(best, consumer, best_gross, fraction, hops, shortfall=not ge)
 
 
-def ring_ids(station: int, d: int, shape: Shape) -> Iterator[int]:
-    """Ids of the stations exactly d hops from station on a row-major lattice."""
+@functools.cache
+def ring_ids(station: int, d: int, shape: Shape) -> tuple[int, ...]:
+    """Ids of the stations exactly d hops from station on a row-major lattice.
+
+    Cached: one tuple per (station, d, shape) for the life of the process.
+    """
     rows, cols = shape
     r0, c0 = divmod(station, cols)
+    ids = []
     for r in range(max(r0 - d, 0), min(r0 + d, rows - 1) + 1):
         rest = d - abs(r - r0)
         if c0 - rest >= 0:
-            yield r * cols + c0 - rest
+            ids.append(r * cols + c0 - rest)
         if rest and c0 + rest < cols:
-            yield r * cols + c0 + rest
+            ids.append(r * cols + c0 + rest)
+    return tuple(ids)
 
 
 def ring_sources(

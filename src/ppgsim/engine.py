@@ -265,10 +265,14 @@ class RunResult:
     config: SimConfig
     slots: list[SlotMetrics]
     jobs: list[tuple[int, TransferJob]]
-    grants: list[LinkGrant]
     theorem: TheoremDiagnostic | None
     summary: dict[str, object] = field(default_factory=dict)
     trajectories: list[tuple[int, int, float, float, int]] = field(default_factory=list)
+
+    @property
+    def grants(self) -> list[LinkGrant]:
+        """Link grants of the whole run, in slot, job and route order."""
+        return [grant for slot, job in self.jobs for grant in transfer.job_grants(slot, job)]
 
 
 def build_traces(config: SimConfig) -> tuple[LoadProfileSet, HarvestTraceSet]:
@@ -322,6 +326,7 @@ class Simulation:
             raise ConfigError("harvest trace shorter than horizon")
         self.profiles = profiles
         self.harvest = harvest
+        self.slots_per_day = profiles.slots_per_day
         self.grid = config.make_grid()
         self.loss = config.loss_model()
         # every hop count on the lattice, so allocation never re-derives a fraction
@@ -335,6 +340,19 @@ class Simulation:
         self.on_grid = [bs.grid_connected for bs in self.stations]
         # per-station state, indexed by station id
         self.levels: list[float] = [bs.buffer.level_J for bs in self.stations]
+        # each profile value is checked here once, not per station in every slot
+        for k, row in enumerate(profiles.clusters):
+            for slot, value in enumerate(row):
+                if not (0.0 <= value <= 1.0):
+                    raise ValueError(
+                        f"load profile cluster {k}, slot {slot}: "
+                        f"load_fraction must be in [0, 1], got {value}"
+                    )
+        # consumption = idle + profile value * peak load, from (idle, row, peak) per station
+        self.consumption_terms = [
+            (bs.idle_energy_J, profiles.clusters[profiles.assignment[bs.id]], bs.max_load_energy_J)
+            for bs in self.stations
+        ]
         self.queues = VirtualQueues(range(config.n_bs))
         self.prev_consumption: dict[int, float] = dict.fromkeys(range(config.n_bs), 0.0)
         jitter_rng = random.Random(derive_seed(config.seed, _SEED_JITTER))
@@ -416,9 +434,8 @@ class Simulation:
         solar, wind = self.harvest.sample(t)
         harvest_J = ingest.harvest_select(solar, wind, cfg.offpeak_threshold_J)
         harvested = [j * harvest_J for j in self.jitter]
-        consumption = [
-            domain.bs_consumption(bs, self.profiles.load_at(bs.id, t)) for bs in self.stations
-        ]
+        k = t % self.slots_per_day
+        consumption = [idle + row[k] * peak for idle, row, peak in self.consumption_terms]
 
         purchases = [0.0] * n
         clamped: list[int] = []
@@ -438,8 +455,7 @@ class Simulation:
             delivered[d.consumer_id] += d.delivered_J
             gross_out[d.source_id] += d.gross_J
         queue_snapshot = tuple(self.queues.values.values())
-        for i in range(n):
-            self.queues.advance(i, delivered[i], cap)
+        self.queues.advance_all(delivered, cap)
 
         self.prev_consumption = dict(enumerate(consumption))
 
@@ -468,14 +484,12 @@ class Simulation:
         cfg = self.config
         slots: list[SlotMetrics] = []
         jobs: list[tuple[int, TransferJob]] = []
-        grants: list[LinkGrant] = []
         trajectories: list[tuple[int, int, float, float, int]] = []
         queue_history: dict[int, list[float]] = {i: [] for i in range(cfg.n_bs)}
         for t in range(cfg.horizon_slots):
             metrics, outcome = self.step(t)
             slots.append(metrics)
             jobs.extend((t, job) for job in outcome.jobs)
-            grants.extend(outcome.grants)
             if collect_trajectories:
                 trajectories.extend(
                     mobility.trajectory_rows(
@@ -494,7 +508,7 @@ class Simulation:
                 cfg.beta_max_J,
                 target_value=mean_demand,
             )
-        result = RunResult(cfg, slots, jobs, grants, theorem, trajectories=trajectories)
+        result = RunResult(cfg, slots, jobs, theorem, trajectories=trajectories)
         result.summary = summarize(result)
         return result
 

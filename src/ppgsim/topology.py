@@ -4,6 +4,19 @@ resistance, per-hop delivery losses, and TDM link reservation state.
 Nodes are (row, col) tuples; one base station sits on each node and every
 4-adjacent pair is joined by a single identical DC link. Mini-slot indices
 are 0-based throughout.
+
+Link calendar. Each PowerLink keeps its reservations twice: an int
+bitmask with bit m set while mini-slot m is held, which answers every
+overlap test with one AND, and the list of [start, end) ranges, which is
+the audit of what was reserved and words the LinkBusyError. Reservations
+never overlap, so the mask is the union of the listed ranges. A link
+reserved for the first time since the last clear puts itself on its
+grid's dirty list, and PpgGrid.clear_reservations clears only the links
+on that list, whoever reserved them.
+
+Routes. static_route is memoised per grid: the first call for a (source,
+consumer) pair builds and validates the Route and resolves its PowerLink
+objects; later calls return the same Route.
 """
 
 from __future__ import annotations
@@ -36,22 +49,33 @@ class PowerLink:
     """One DC link with its TDM reservation calendar for the current slot.
 
     At most one transfer may hold the link in any mini-slot. Reservations
-    are half-open [start, end) mini-slot ranges and are wiped by clear()
-    at each slot boundary.
+    are half-open [start, end) mini-slot ranges, mirrored in mask (bit m
+    set while mini-slot m is held), and are wiped by clear() at each slot
+    boundary. A link built by a PpgGrid shares the grid's dirty list and
+    joins it on its first reservation after a clear.
     """
 
     endpoints: LinkKey
     _reservations: list[tuple[int, int]] = field(default_factory=list)
+    mask: int = 0
+    dirty: list[PowerLink] | None = field(default=None, repr=False, compare=False)
 
     def reserve(self, start: int, end: int) -> None:
         if end <= start:
             raise ValueError(f"empty mini-slot range [{start}, {end})")
-        for s, e in self._reservations:
-            if start < e and s < end:
-                raise LinkBusyError(
-                    f"link {self.endpoints} busy in [{s}, {e}), "
-                    f"requested [{start}, {end})"
-                )
+        if start < 0:
+            raise ValueError(f"mini-slot range [{start}, {end}) starts before 0")
+        bits = ((1 << (end - start)) - 1) << start
+        if self.mask & bits:
+            for s, e in self._reservations:
+                if start < e and s < end:
+                    raise LinkBusyError(
+                        f"link {self.endpoints} busy in [{s}, {e}), "
+                        f"requested [{start}, {end})"
+                    )
+        if not self.mask and self.dirty is not None:
+            self.dirty.append(self)
+        self.mask |= bits
         self._reservations.append((start, end))
 
     def release(self, start: int, end: int) -> None:
@@ -61,12 +85,11 @@ class PowerLink:
             raise ValueError(
                 f"no reservation [{start}, {end}) on link {self.endpoints}"
             ) from None
-
-    def is_free(self, start: int, end: int) -> bool:
-        return all(not (start < e and s < end) for s, e in self._reservations)
+        self.mask &= ~(((1 << (end - start)) - 1) << start)
 
     def clear(self) -> None:
         self._reservations.clear()
+        self.mask = 0
 
     @property
     def reservations(self) -> tuple[tuple[int, int], ...]:
@@ -81,9 +104,14 @@ class PowerLink:
 
 @dataclass(frozen=True)
 class Route:
-    """Ordered node path from source to consumer."""
+    """Ordered node path from source to consumer.
+
+    power_links holds the grid's PowerLink for each hop, in route order,
+    when the route comes from PpgGrid.static_route; it is empty otherwise.
+    """
 
     hops: tuple[Node, ...]
+    power_links: tuple[PowerLink, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.hops) < 2:
@@ -123,14 +151,17 @@ class PpgGrid:
         self.cross_section_mm2 = cross_section_mm2
         self.dc_voltage_V = dc_voltage_V
         self.links: dict[LinkKey, PowerLink] = {}
+        # links reserved since the last clear_reservations
+        self._dirty: list[PowerLink] = []
+        self._routes: dict[tuple[Node, Node], Route] = {}
         for r in range(rows):
             for c in range(cols):
                 if r + 1 < rows:
                     key = link_key((r, c), (r + 1, c))
-                    self.links[key] = PowerLink(key)
+                    self.links[key] = PowerLink(key, dirty=self._dirty)
                 if c + 1 < cols:
                     key = link_key((r, c), (r, c + 1))
-                    self.links[key] = PowerLink(key)
+                    self.links[key] = PowerLink(key, dirty=self._dirty)
 
     @property
     def line_resistance_ohm(self) -> float:
@@ -155,6 +186,12 @@ class PpgGrid:
 
     def static_route(self, a: Node, b: Node) -> Route:
         """Deterministic min-hop route: walk rows first, then columns."""
+        route = self._routes.get((a, b))
+        if route is None:
+            route = self._routes[(a, b)] = self._walk(a, b)
+        return route
+
+    def _walk(self, a: Node, b: Node) -> Route:
         self._check(a)
         self._check(b)
         if a == b:
@@ -169,17 +206,14 @@ class PpgGrid:
         while c != b[1]:
             c += step_c
             hops.append((r, c))
-        return Route(tuple(hops))
-
-    def link_between(self, a: Node, b: Node) -> PowerLink:
-        key = link_key(a, b)
-        if key not in self.links:
-            raise ValueError(f"no link between {a} and {b}")
-        return self.links[key]
+        links = tuple(self.links[link_key(x, y)] for x, y in zip(hops, hops[1:]))
+        return Route(tuple(hops), links)
 
     def clear_reservations(self) -> None:
-        for link in self.links.values():
+        """Empty every link reserved since the last clear; the rest already are."""
+        for link in self._dirty:
             link.clear()
+        self._dirty.clear()
 
 
 def per_hop_loss(resistance_ohm: float, link_power_W: float, voltage_V: float) -> float:

@@ -7,6 +7,17 @@ the response deadline still completes but is flagged as an overrun.
 
 Losses are debited at the source: the source sends the gross amount, the
 consumer receives the surviving fraction, the difference is dissipated.
+
+Link calendar. Every link keeps a bitmask of its busy mini-slots next to
+its list of reservations (see topology). A job of y mini-slots starts at
+the first run of y zero bits in the OR of its route's masks. That equals
+the start found by a search over the reservation lists (the tests keep it
+as the oracle), which starts at 0 and, while reservations overlap the
+window [start, start + y), jumps to the largest end among them. No such
+end can lie past the earliest free start f >= start, since a reservation
+overlapping [start, start + y) and ending after f would also overlap
+[f, f + y); so the jumps never pass f and stop exactly at it. The grants
+(which link each job held, when) are derived from the jobs, not stored.
 """
 
 from __future__ import annotations
@@ -67,13 +78,26 @@ class LinkGrant:
     job_id: int
 
 
+def job_grants(slot: int, job: TransferJob) -> list[LinkGrant]:
+    """The links a job held and when, in route order; none for a zero-length job."""
+    if job.mini_slots == 0:
+        return []
+    start, end = job.start_mini_slot, job.start_mini_slot + job.mini_slots
+    return [LinkGrant(slot, key, start, end, job.job_id) for key in job.route.links()]
+
+
 @dataclass
 class TransferOutcome:
-    """Per-slot result of executing all transfers."""
+    """Per-slot result of executing all transfers; slot stamps the grants."""
 
+    slot: int = 0
     net_flow_J: dict[int, float] = field(default_factory=dict)
     jobs: list[TransferJob] = field(default_factory=list)
-    grants: list[LinkGrant] = field(default_factory=list)
+
+    @property
+    def grants(self) -> list[LinkGrant]:
+        """Link grants of the slot, in job order and then route order."""
+        return [grant for job in self.jobs for grant in job_grants(self.slot, job)]
 
     def flow(self, bs_id: int) -> float:
         return self.net_flow_J.get(bs_id, 0.0)
@@ -83,19 +107,20 @@ class TransferOutcome:
         return [self.net_flow_J.get(i, 0.0) for i in range(n)]
 
 
-def _earliest_start(grid: PpgGrid, route: Route, length: int) -> int:
-    """First mini-slot index at which every link of the route is free for `length` slots."""
+def _earliest_start(route: Route, length: int) -> int:
+    """First mini-slot index at which every link of the route is free for `length` slots.
+
+    The route must come from PpgGrid.static_route, which resolves its links.
+    """
+    busy = 0
+    for link in route.power_links:
+        busy |= link.mask
+    window = (1 << length) - 1
     start = 0
-    while True:
-        conflict_end = None
-        for key in route.links():
-            link = grid.links[key]
-            for s, e in link.reservations:
-                if start < e and s < start + length:
-                    conflict_end = e if conflict_end is None else max(conflict_end, e)
-        if conflict_end is None:
-            return start
-        start = conflict_end
+    while clash := (busy >> start) & window:
+        # every start up to the highest clashing mini-slot would hold it too
+        start += clash.bit_length()
+    return start
 
 
 def execute_transfers(
@@ -114,18 +139,17 @@ def execute_transfers(
     slot boundary). Every job completes within the model - energy always
     arrives - but a completion time past deadline_s marks the job overrun.
     """
-    outcome = TransferOutcome()
+    outcome = TransferOutcome(slot_index)
     for job_id, decision in enumerate(decisions):
         delivered = decision.delivered_J
         route = grid.static_route(positions[decision.source_id], positions[decision.consumer_id])
         y = mini_slot_count(delivered, phi_max_J)
         occupancy = link_occupancy(y, mini_slot_duration_s, processing_delay_s)
-        start = _earliest_start(grid, route, y) if y > 0 else 0
+        start = _earliest_start(route, y) if y > 0 else 0
         completion = (start + y) * mini_slot_duration_s + processing_delay_s
-        for key in route.links():
-            if y > 0:
-                grid.links[key].reserve(start, start + y)
-                outcome.grants.append(LinkGrant(slot_index, key, start, start + y, job_id))
+        if y > 0:
+            for link in route.power_links:
+                link.reserve(start, start + y)
         status = "overrun" if completion > deadline_s else "done"
         outcome.jobs.append(
             TransferJob(

@@ -437,6 +437,25 @@ class TestVirtualQueues:
         q.advance(1, 500e3, 490e3)
         assert q.get(1) == pytest.approx(10e3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(0, 1e6), st.floats(0, 1e6)), min_size=1, max_size=12),
+        st.floats(0, 1e6),
+    )
+    def test_advance_all_matches_queue_update(self, rounds, cap):
+        q = VirtualQueues(range(len(rounds)))
+        for delivered in (list(r) for r in zip(*rounds)):
+            before = dict(q.values)
+            q.advance_all(delivered, cap)
+            assert q.values == {i: queue_update(before[i], d, cap) for i, d in enumerate(delivered)}
+
+    def test_advance_all_rejects_negative_inputs(self):
+        q = VirtualQueues([0, 1])
+        with pytest.raises(ValueError):
+            q.advance_all([0.0, -1.0], 490e3)
+        with pytest.raises(ValueError):
+            q.advance_all([0.0, 0.0], -1.0)
+
 
 class TestTheoremDiagnostic:
     def test_zero_penalty(self):

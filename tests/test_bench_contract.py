@@ -1,0 +1,69 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+perfbench/worker.py wraps ppgsim functions by qualified name and leaves out
+the metrics of a target it cannot find, or of a hooked span whose
+arguments or result no longer have the shape it reads. A renamed function
+therefore shows up only as a shorter metric list. These tests read
+perfbench/ and BENCHMARK.json and write neither.
+"""
+
+import importlib
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ppgsim.engine import SimConfig, config_items
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = REPO_ROOT / "perfbench"
+
+
+def load_worker():
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+worker = load_worker()
+TARGETS = sorted(
+    {target for targets in [*worker.LAYERS.values(), *worker.COUNTERS.values()] for target in targets}
+)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_traced_target_resolves(target):
+    module_name, _, qualname = target.partition(".")
+    module = importlib.import_module(f"ppgsim.{module_name}")
+    assert worker._lookup(module, qualname) is not None, f"{target} is gone"
+
+
+def test_traced_run_reports_every_declared_layer_metric(tmp_path):
+    config = SimConfig(rows=2, cols=3, on_grid_ids=(0,), horizon_slots=10, initial_fill_fraction=0.32)
+    scenario = tmp_path / "small.cfg"
+    scenario.write_text("".join(f"{key} = {value}\n" for key, value in config_items(config)))
+    report = tmp_path / "report.json"
+    completed = subprocess.run(
+        [
+            sys.executable, str(PERFBENCH / "worker.py"),
+            "--src", str(REPO_ROOT / "src"), "--report", str(report), "--trace", "1", "--",
+            "compare", "--config", str(scenario), "--policies", "lyapunov,radial,random",
+            "--out", str(tmp_path / "out"),
+        ],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    result = json.loads(report.read_text())
+    assert result["exit_code"] == 0
+    assert result["slots"] == 3 * config.horizon_slots
+    declared = {m["name"] for m in json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    # run.py adds the overhead from a paired untraced execution
+    reported = set(result["layers"]) | {"trace.overhead_s"}
+    assert sorted(declared - reported) == []
+    assert sorted(reported - declared) == []

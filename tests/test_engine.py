@@ -4,8 +4,10 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppgsim import cli, engine
+from ppgsim import cli, domain, engine
 from ppgsim.engine import (
     SimConfig,
     Simulation,
@@ -146,6 +148,32 @@ class TestStepSemantics:
         sim.levels[4] = level
         with pytest.raises(ValueError, match="station 4"):
             sim.step(0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 3),
+        st.integers(0, 23),
+        st.one_of(st.floats(max_value=-1e-12), st.floats(min_value=1.0 + 1e-12), st.just(math.nan)),
+    )
+    def test_profile_value_outside_unit_interval_rejected_at_construction(self, cluster, slot, value):
+        cfg = SimConfig(horizon_slots=1, slots_per_day=24)
+        profiles, harvest = quiet_traces(cfg, load=0.5)
+        rows = [list(row) for row in profiles.clusters]
+        rows[cluster][slot] = value
+        bad = LoadProfileSet(tuple(map(tuple, rows)), profiles.assignment)
+        with pytest.raises(ValueError, match=f"cluster {cluster}, slot {slot}:"):
+            Simulation(cfg, bad, harvest)
+
+    def test_consumption_matches_per_station_profile_lookup(self):
+        cfg = SimConfig(horizon_slots=30, slots_per_day=12, idle_energy_J=5e3)
+        profiles, harvest = build_traces(cfg)
+        assert len(set(profiles.assignment.values())) > 1
+        sim = Simulation(cfg, profiles, harvest)
+        for t in range(cfg.horizon_slots):
+            metrics, _ = sim.step(t)
+            assert metrics.consumption_J == tuple(
+                domain.bs_consumption(bs, profiles.load_at(bs.id, t)) for bs in sim.stations
+            )
 
     def test_association_feeds_priority(self, reference_config):
         cfg = dataclasses.replace(reference_config, horizon_slots=10)

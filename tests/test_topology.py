@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppgsim.errors import ConfigError, LinkBusyError
 from ppgsim.topology import (
@@ -173,3 +175,121 @@ class TestReservations:
         link.reserve(0, 3)
         link.clear()
         assert link.occupied_until_mini_slot is None
+
+
+def walk_route(a, b):
+    """Rows-first hop list, walked afresh on every call."""
+    hops = [a]
+    r, c = a
+    step_r = 1 if b[0] > r else -1
+    while r != b[0]:
+        r += step_r
+        hops.append((r, c))
+    step_c = 1 if b[1] > c else -1
+    while c != b[1]:
+        c += step_c
+        hops.append((r, c))
+    return tuple(hops)
+
+
+def list_reserve(reservations, endpoints, start, end):
+    """Reserve on a plain list; returns the LinkBusyError message or None."""
+    for s, e in reservations:
+        if start < e and s < end:
+            return f"link {endpoints} busy in [{s}, {e}), requested [{start}, {end})"
+    reservations.append((start, end))
+    return None
+
+
+def mask_of(reservations):
+    mask = 0
+    for s, e in reservations:
+        mask |= ((1 << (e - s)) - 1) << s
+    return mask
+
+
+ranges = st.tuples(st.integers(0, 30), st.integers(1, 14)).map(lambda p: (p[0], p[0] + p[1]))
+
+
+class TestCalendar:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ranges, max_size=12))
+    def test_busy_error_matches_list_scan(self, requests):
+        link = PowerLink(((0, 0), (0, 1)))
+        held: list[tuple[int, int]] = []
+        for start, end in requests:
+            expected = list_reserve(held, link.endpoints, start, end)
+            if expected is None:
+                link.reserve(start, end)
+            else:
+                with pytest.raises(LinkBusyError) as info:
+                    link.reserve(start, end)
+                assert str(info.value) == expected
+            assert link.reservations == tuple(held)
+            assert link.mask == mask_of(held)
+
+    def test_release_keeps_mask(self):
+        link = PowerLink(((0, 0), (0, 1)))
+        link.reserve(0, 3)
+        link.reserve(5, 7)
+        link.release(0, 3)
+        assert link.mask == mask_of([(5, 7)])
+        link.reserve(1, 4)
+        with pytest.raises(LinkBusyError):
+            link.reserve(6, 8)
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError):
+            PowerLink(((0, 0), (0, 1))).reserve(-1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_clear_reservations_empties_every_link(self, data):
+        grid = PpgGrid(rows=3, cols=4)
+        keys = sorted(grid.links)
+        for _ in range(data.draw(st.integers(1, 3))):
+            for key in data.draw(st.lists(st.sampled_from(keys), max_size=8, unique=True)):
+                link = grid.links[key]
+                start = data.draw(st.integers(0, 20))
+                link.reserve(start, start + data.draw(st.integers(1, 5)))
+                if data.draw(st.booleans()):
+                    link.release(*link.reservations[-1])
+            grid.clear_reservations()
+            for link in grid.links.values():
+                assert link.reservations == ()
+                assert link.mask == 0
+
+    def test_direct_reservation_cleared_after_earlier_clear(self, grid):
+        link = grid.links[link_key((1, 1), (1, 2))]
+        link.reserve(0, 2)
+        grid.clear_reservations()
+        link.reserve(4, 6)
+        grid.clear_reservations()
+        assert link.reservations == ()
+        assert link.mask == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 7),
+        st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=1, max_size=20),
+    )
+    def test_cached_route_matches_walk(self, rows, cols, pairs):
+        grid = PpgGrid(rows=rows, cols=cols)
+        nodes = grid.nodes()
+        for i, j in pairs:
+            a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
+            if a == b:
+                continue
+            route = grid.static_route(a, b)
+            assert route.hops == walk_route(a, b)
+            assert len(route.power_links) == route.hop_count
+            assert all(x is grid.links[key] for x, key in zip(route.power_links, route.links()))
+            assert grid.static_route(a, b) is route
+
+    def test_cache_does_not_hide_bad_nodes(self, grid):
+        grid.static_route((0, 0), (1, 1))
+        with pytest.raises(ValueError):
+            grid.static_route((0, 0), (9, 9))
+        with pytest.raises(ValueError):
+            grid.static_route((1, 1), (1, 1))

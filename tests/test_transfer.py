@@ -1,11 +1,18 @@
 """Transfer execution: mini-slot scheduling, occupancy, and bookkeeping."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppgsim.allocation import AllocationDecision
+from ppgsim.engine import run
 from ppgsim.errors import ConfigError
 from ppgsim.topology import PpgGrid, loss_model_for
 from ppgsim.transfer import (
+    LinkGrant,
+    _earliest_start,
     execute_transfers,
     link_occupancy,
     mini_slot_count,
@@ -139,3 +146,123 @@ class TestExecuteTransfers:
             for other_start, other_end in seen.get(grant.link, []):
                 assert not (grant.start_mini_slot < other_end and other_start < grant.end_mini_slot)
             seen.setdefault(grant.link, []).append((grant.start_mini_slot, grant.end_mini_slot))
+
+
+def jump_search_start(reservations, route, length):
+    """Earliest start by jumping past overlapping reservations (the list-based search)."""
+    start = 0
+    while True:
+        conflict_end = None
+        for key in route.links():
+            for s, e in reservations.get(key, ()):
+                if start < e and s < start + length:
+                    conflict_end = e if conflict_end is None else max(conflict_end, e)
+        if conflict_end is None:
+            return start
+        start = conflict_end
+
+
+def list_calendar_grants(decisions, grid, positions, slot, phi_max_J):
+    """(starts, grants) of one slot's decisions, scheduled on per-link reservation lists."""
+    reservations: dict = {}
+    starts, grants = [], []
+    for job_id, d in enumerate(decisions):
+        route = grid.static_route(positions[d.source_id], positions[d.consumer_id])
+        y = mini_slot_count(d.delivered_J, phi_max_J)
+        start = jump_search_start(reservations, route, y) if y > 0 else 0
+        for key in route.links():
+            if y > 0:
+                reservations.setdefault(key, []).append((start, start + y))
+                grants.append(LinkGrant(slot, key, start, start + y, job_id))
+        starts.append(start)
+    return starts, grants
+
+
+@st.composite
+def calendars(draw):
+    """A route on a small grid plus non-overlapping reservations on its links."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    grid = PpgGrid(rows=rows, cols=cols)
+    nodes = grid.nodes()
+    a = draw(st.sampled_from(nodes))
+    b = draw(st.sampled_from([n for n in nodes if n != a]))
+    route = grid.static_route(a, b)
+    for key in route.links():
+        edge = 0
+        for _ in range(draw(st.integers(0, 6))):
+            start = edge + draw(st.integers(0, 8))
+            edge = start + draw(st.integers(1, 20))
+            grid.links[key].reserve(start, edge)
+    return grid, route
+
+
+class TestEarliestStart:
+    @settings(max_examples=200, deadline=None)
+    @given(calendars(), st.integers(1, 20))
+    def test_matches_jump_search(self, calendar, length):
+        grid, route = calendar
+        reservations = {key: grid.links[key].reservations for key in route.links()}
+        assert _earliest_start(route, length) == jump_search_start(reservations, route, length)
+
+    def test_skips_to_gap_long_enough(self):
+        grid = PpgGrid()
+        route = grid.static_route((0, 0), (0, 2))
+        first, second = (grid.links[key] for key in route.links())
+        first.reserve(0, 2)
+        second.reserve(3, 5)
+        # [2, 3) is free on both links but too short for two mini-slots
+        assert _earliest_start(route, 1) == 2
+        assert _earliest_start(route, 2) == 5
+
+
+def contended_config(reference_config):
+    """Reference scenario on a 10x15 grid with small link capacity: multi-hop,
+    multi-mini-slot jobs that wait for links, some of them overrunning."""
+    return dataclasses.replace(
+        reference_config, rows=10, cols=15, on_grid_ids=(3, 50, 99),
+        phi_max_J=5_000.0, initial_fill_fraction=0.32, horizon_slots=120,
+    )
+
+
+class TestDerivedGrants:
+    def check_run(self, result):
+        cfg = result.config
+        grid = PpgGrid(rows=cfg.rows, cols=cfg.cols)
+        positions = {i: divmod(i, cfg.cols) for i in range(cfg.n_bs)}
+        by_slot: dict[int, list] = {}
+        for slot, job in result.jobs:
+            by_slot.setdefault(slot, []).append(job)
+        expected = []
+        for slot, jobs in by_slot.items():
+            starts, grants = list_calendar_grants(
+                [job.decision for job in jobs], grid, positions, slot, cfg.phi_max_J
+            )
+            assert [job.start_mini_slot for job in jobs] == starts
+            expected.extend(grants)
+        assert result.grants == expected
+        return [job for _, job in result.jobs]
+
+    def test_reference_compare(self, reference_runs):
+        results, _ = reference_runs
+        for result in results.values():
+            self.check_run(result)
+
+    def test_contended_variant(self, reference_config):
+        jobs = self.check_run(run(contended_config(reference_config)))
+        assert any(job.mini_slots > 1 for job in jobs)
+        assert any(job.start_mini_slot > 0 for job in jobs)
+        assert any(job.overrun for job in jobs)
+        assert any(job.route.hop_count > 1 for job in jobs)
+
+    def test_outcome_grants_follow_jobs(self):
+        positions = {0: (0, 0), 1: (0, 1), 2: (0, 2)}
+        decisions = [
+            AllocationDecision(0, 2, 150e3, FRACTION(2), 2),
+            AllocationDecision(1, 2, 50e3, FRACTION(1), 1),
+        ]
+        outcome = execute_transfers(decisions, PpgGrid(), positions, 4, 5.0, 2.0, 100e3, 60.0)
+        assert outcome.grants == [
+            LinkGrant(4, ((0, 0), (0, 1)), 0, 2, 0),
+            LinkGrant(4, ((0, 1), (0, 2)), 0, 2, 0),
+            LinkGrant(4, ((0, 1), (0, 2)), 2, 3, 1),
+        ]
