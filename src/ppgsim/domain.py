@@ -84,24 +84,12 @@ class BaseStation:
     col: int
     grid_connected: bool
     buffer: EnergyBuffer
-    load_profile_id: int = 0
     idle_energy_J: float = 6_000.0
     max_load_energy_J: float = 18_000.0
 
     @property
     def node(self) -> tuple[int, int]:
         return (self.row, self.col)
-
-
-@dataclass(frozen=True)
-class HarvestSample:
-    slot_index: int
-    solar_J: float
-    wind_J: float
-
-    def __post_init__(self) -> None:
-        if self.solar_J < 0 or self.wind_J < 0:
-            raise ValueError("harvested energy cannot be negative")
 
 
 class RoleKind(Enum):

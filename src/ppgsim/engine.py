@@ -300,11 +300,6 @@ def build_traces(config: SimConfig) -> tuple[LoadProfileSet, HarvestTraceSet]:
             config.solar_peak_fraction,
             config.slots_per_day,
         )
-    if harvest.n_slots < config.horizon_slots:
-        raise ConfigError(
-            f"harvest trace covers {harvest.n_slots} slots, "
-            f"horizon needs {config.horizon_slots}"
-        )
     return profiles, harvest
 
 
@@ -323,7 +318,10 @@ class Simulation:
             profiles = profiles or built_profiles
             harvest = harvest or built_harvest
         if harvest.n_slots < config.horizon_slots:
-            raise ConfigError("harvest trace shorter than horizon")
+            raise ConfigError(
+                f"harvest trace covers {harvest.n_slots} slots, "
+                f"horizon needs {config.horizon_slots}"
+            )
         self.profiles = profiles
         self.harvest = harvest
         self.slots_per_day = profiles.slots_per_day

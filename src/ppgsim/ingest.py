@@ -27,6 +27,9 @@ from .errors import TraceFormatError
 PROFILE_HEADER = "slot,cluster0,cluster1,cluster2,cluster3"
 HARVEST_HEADER = "timestamp_s,solar,wind"
 N_CLUSTERS = 4
+# harvest lines read per chunk, as a character count: a few thousand lines,
+# which keeps parsing memory near the size of its result
+_CHUNK_CHARS = 1 << 16
 
 
 @dataclass
@@ -35,7 +38,6 @@ class LoadProfileSet:
 
     clusters: tuple[tuple[float, ...], ...]
     assignment: dict[int, int]
-    computation_share: float = 0.8  # workload split carried as metadata only
 
     @property
     def slots_per_day(self) -> int:
@@ -146,22 +148,27 @@ def samples_per_slot(timestamps_s: Sequence[float], tau_s: float) -> int:
     n = len(timestamps_s)
     if n < 2:
         raise TraceFormatError("need at least two samples to infer the interval")
-    first, last = timestamps_s[0], timestamps_s[-1]
-    step = timestamps_s[1] - first
+    first, second, last = timestamps_s[0], timestamps_s[1], timestamps_s[-1]
+    # these three set the step, interval and tolerance; a non-finite
+    # timestamp elsewhere shows up as a gap
+    if not (math.isfinite(first) and math.isfinite(second) and math.isfinite(last)):
+        raise TraceFormatError(f"timestamps must be finite, got {first}, {second} .. {last}")
+    step = second - first
     interval = (last - first) / (n - 1)
-    if step <= 0 or interval <= 0:
+    # every comparison below is written so that a NaN fails it
+    if not (step > 0 and interval > 0):
         raise TraceFormatError("timestamps must be strictly increasing")
     # a timestamp read from text is exact to half an ulp of its magnitude,
     # so the difference of two is exact to one ulp
     tol = max(1e-6, 4.0 * math.ulp(max(abs(first), abs(last))))
     for i, (prev, t) in enumerate(pairwise(timestamps_s), start=1):
-        if abs(t - prev - step) > tol:
+        if not abs(t - prev - step) <= tol:
             raise TraceFormatError(
                 f"gap in window {i // max(round(tau_s / step), 1)}: "
                 f"expected timestamp {prev + step}, got {t}"
             )
     per_window = round(tau_s / interval)
-    if per_window < 1 or abs(per_window * interval - tau_s) > tol:
+    if not (per_window >= 1 and abs(per_window * interval - tau_s) <= tol):
         raise TraceFormatError(
             f"slot duration {tau_s}s is not a multiple of the sample interval {interval}s"
         )
@@ -197,14 +204,61 @@ def scale_harvest(
 
 
 def parse_harvest(path: str | Path) -> tuple[list[float], list[float], list[float]]:
-    """Read a raw harvest file; returns (timestamps, solar, wind)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != HARVEST_HEADER:
-        raise TraceFormatError(f"{path}: line 1: expected header {HARVEST_HEADER!r}")
+    """Read a raw harvest file; returns (timestamps, solar, wind).
+
+    The file is streamed in chunks of a few thousand lines. Each chunk is
+    converted column by column; only a chunk that fails a bulk check is
+    walked line by line, which skips blank lines and names the first bad
+    line. Non-finite values are rejected like malformed ones.
+    """
     timestamps: list[float] = []
     solar: list[float] = []
     wind: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    with open(path) as f:
+        if f.readline().strip() != HARVEST_HEADER:
+            raise TraceFormatError(f"{path}: line 1: expected header {HARVEST_HEADER!r}")
+        lineno = 2
+        while lines := f.readlines(_CHUNK_CHARS):
+            if not lines[-1].endswith("\n"):
+                lines[-1] += "\n"
+            ts, s, w = _bulk_columns(lines) or _line_columns(path, lines, lineno)
+            timestamps += ts
+            solar += s
+            wind += w
+            lineno += len(lines)
+    return timestamps, solar, wind
+
+
+def _bulk_columns(lines: list[str]) -> tuple[list[float], list[float], list[float]] | None:
+    """Columns of newline-terminated lines that all pass, or None if any may not."""
+    n = len(lines)
+    fields = ",".join(lines).split(",")
+    ends = fields[2::3]
+    # A field holds at most one newline, at its end. With 3n fields, the n
+    # newlines all falling in the n third fields means every line has three.
+    if len(fields) != 3 * n or "".join(ends).count("\n") != n:
+        return None
+    try:
+        ts = list(map(float, fields[0::3]))
+        s = list(map(float, fields[1::3]))
+        w = list(map(float, ends))
+    except ValueError:
+        return None
+    # a sum is finite only if every term is; an overflowing one merely
+    # sends the chunk to the line walk
+    if not (math.isfinite(sum(ts) + sum(s) + sum(w)) and min(s) >= 0 and min(w) >= 0):
+        return None
+    return ts, s, w
+
+
+def _line_columns(
+    path: str | Path, lines: list[str], first_lineno: int
+) -> tuple[list[float], list[float], list[float]]:
+    """Columns of lines read one at a time; raises naming the first bad line."""
+    timestamps: list[float] = []
+    solar: list[float] = []
+    wind: list[float] = []
+    for lineno, line in enumerate(lines, start=first_lineno):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -214,6 +268,8 @@ def parse_harvest(path: str | Path) -> tuple[list[float], list[float], list[floa
             ts, s, w = (float(p) for p in parts)
         except ValueError:
             raise TraceFormatError(f"{path}: line {lineno}: malformed number") from None
+        if not (math.isfinite(ts) and math.isfinite(s) and math.isfinite(w)):
+            raise TraceFormatError(f"{path}: line {lineno}: non-finite value")
         if s < 0 or w < 0:
             raise TraceFormatError(f"{path}: line {lineno}: negative harvest value")
         timestamps.append(ts)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from ppgsim.engine import SimConfig, config_items
+from ppgsim.ingest import synthetic_profiles, write_harvest, write_profiles
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = REPO_ROOT / "perfbench"
@@ -44,8 +45,8 @@ def test_traced_target_resolves(target):
     assert worker._lookup(module, qualname) is not None, f"{target} is gone"
 
 
-def test_traced_run_reports_every_declared_layer_metric(tmp_path):
-    config = SimConfig(rows=2, cols=3, on_grid_ids=(0,), horizon_slots=10, initial_fill_fraction=0.32)
+def traced(tmp_path, config, *argv):
+    """Report of one `worker.py --trace 1` execution of ppgsim on config."""
     scenario = tmp_path / "small.cfg"
     scenario.write_text("".join(f"{key} = {value}\n" for key, value in config_items(config)))
     report = tmp_path / "report.json"
@@ -53,13 +54,17 @@ def test_traced_run_reports_every_declared_layer_metric(tmp_path):
         [
             sys.executable, str(PERFBENCH / "worker.py"),
             "--src", str(REPO_ROOT / "src"), "--report", str(report), "--trace", "1", "--",
-            "compare", "--config", str(scenario), "--policies", "lyapunov,radial,random",
-            "--out", str(tmp_path / "out"),
+            *argv, "--config", str(scenario), "--out", str(tmp_path / "out"),
         ],
         capture_output=True, text=True, timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    result = json.loads(report.read_text())
+    return json.loads(report.read_text())
+
+
+def test_traced_run_reports_every_declared_layer_metric(tmp_path):
+    config = SimConfig(rows=2, cols=3, on_grid_ids=(0,), horizon_slots=10, initial_fill_fraction=0.32)
+    result = traced(tmp_path, config, "compare", "--policies", "lyapunov,radial,random")
     assert result["exit_code"] == 0
     assert result["slots"] == 3 * config.horizon_slots
     declared = {m["name"] for m in json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["per_layer"]}
@@ -67,3 +72,20 @@ def test_traced_run_reports_every_declared_layer_metric(tmp_path):
     reported = set(result["layers"]) | {"trace.overhead_s"}
     assert sorted(declared - reported) == []
     assert sorted(reported - declared) == []
+
+
+def test_file_fed_run_counts_every_parsed_row(tmp_path):
+    slots_per_day, samples = 24, 30
+    profiles, harvest = tmp_path / "profiles.csv", tmp_path / "harvest.csv"
+    write_profiles(profiles, synthetic_profiles(3, slots_per_day))
+    write_harvest(harvest, [1.0 + t % 4 for t in range(samples)], [0.5] * samples, 30.0)
+    config = SimConfig(
+        rows=2, cols=3, on_grid_ids=(0,), horizon_slots=samples // 2, slots_per_day=slots_per_day,
+        profiles_path=str(profiles), harvest_path=str(harvest),
+    )
+    result = traced(tmp_path, config, "run")
+    assert result["exit_code"] == 0
+    assert result["slots"] == config.horizon_slots
+    # ingest.rows adds up the first element of each parser's result
+    assert result["layers"]["ingest.rows"] == slots_per_day + samples
+    assert result["layers"]["ingest.load_s"] > 0

@@ -171,6 +171,22 @@ class TestTraceCommands:
         path.write_text("slot,cluster0,cluster1,cluster2,cluster3\n0,2.0,0.5,0.5,0.5\n")
         assert main(["validate-traces", "--profiles", str(path)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("row", ["120,nan,0.5", "120,1.0,nan", "inf,1.0,0.5"])
+    def test_validate_rejects_non_finite_harvest(self, tmp_path, capsys, row):
+        path = tmp_path / "h.csv"
+        path.write_text("timestamp_s,solar,wind\n0,1.0,0.5\n60,1.0,0.5\n" + row + "\n")
+        assert main(["validate-traces", "--harvest", str(path)]) == EXIT_VALIDATION
+        assert "line 4: non-finite value" in capsys.readouterr().err
+
+    def test_run_rejects_nan_solar_harvest(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        rows = [f"{t * 60},{'nan' if t == 3 else '1.0'},0.5\n" for t in range(12)]
+        path.write_text("timestamp_s,solar,wind\n" + "".join(rows))
+        cfg_path = write_config(tmp_path, horizon_slots=10, harvest_path=str(path))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert "line 5: non-finite value" in capsys.readouterr().err
+
     def test_validate_needs_an_argument(self):
         assert main(["validate-traces"]) == EXIT_VALIDATION
 

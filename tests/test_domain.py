@@ -11,7 +11,6 @@ from ppgsim.domain import (
     BaseStation,
     BsRole,
     EnergyBuffer,
-    HarvestSample,
     RoleKind,
     SimClock,
     battery_step,
@@ -64,11 +63,6 @@ class TestEnergyBuffer:
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
             make_buffer(-1.0)
-
-
-def test_harvest_sample_rejects_negative():
-    with pytest.raises(ValueError):
-        HarvestSample(0, -1.0, 0.0)
 
 
 def test_role_requires_positive_amount():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppgsim import cli, domain, engine
+from ppgsim import cli, domain, engine, ingest
 from ppgsim.engine import (
     SimConfig,
     Simulation,
@@ -193,8 +193,17 @@ class TestRun:
     def test_trace_shorter_than_horizon_rejected(self):
         cfg = SimConfig(horizon_slots=100)
         profiles, harvest = quiet_traces(dataclasses.replace(cfg, horizon_slots=50))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="harvest trace covers 50 slots, horizon needs 100"):
             run(cfg, profiles, harvest)
+
+    def test_harvest_file_shorter_than_horizon_rejected(self, tmp_path):
+        path = tmp_path / "harvest.csv"
+        ingest.write_harvest(path, [1.0] * 5, [0.5] * 5, 60.0)
+        cfg = SimConfig(horizon_slots=10, harvest_path=str(path))
+        with pytest.raises(ConfigError, match="harvest trace covers 5 slots, horizon needs 10"):
+            run(cfg)
+        with pytest.raises(ConfigError, match="harvest trace covers 5 slots, horizon needs 10"):
+            compare(cfg, ["lyapunov", "radial"])
 
     def test_summary_echoes_config(self, reference_config):
         cfg = dataclasses.replace(reference_config, horizon_slots=5)

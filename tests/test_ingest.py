@@ -1,9 +1,16 @@
 """Trace parsing, resampling, scaling, and the synthetic generators."""
 
+import math
 import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppgsim import ingest
 from ppgsim.errors import TraceFormatError
 from ppgsim.ingest import (
     HarvestTraceSet,
@@ -15,6 +22,7 @@ from ppgsim.ingest import (
     parse_harvest,
     parse_profiles,
     resample_to_slots,
+    samples_per_slot,
     scale_harvest,
     synthetic_harvest,
     synthetic_harvest_raw,
@@ -233,6 +241,204 @@ class TestSynthetic:
         path.write_text("timestamp_s,solar,wind\n0,-1,0\n")
         with pytest.raises(TraceFormatError, match="line 2"):
             parse_harvest(path)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan", "Infinity"])
+    def test_harvest_file_rejects_non_finite(self, tmp_path, column, value):
+        row = ["120", "1.0", "0.5"]
+        row[column] = value
+        path = tmp_path / "h.csv"
+        path.write_text("timestamp_s,solar,wind\n0,1.0,0.5\n60,1.0,0.5\n" + ",".join(row) + "\n")
+        with pytest.raises(TraceFormatError, match=r"h\.csv: line 4: non-finite value"):
+            parse_harvest(path)
+        with pytest.raises(TraceFormatError, match="line 4: non-finite value"):
+            load_harvest(path, 490e3, 60.0, 0.2)
+
+
+class TestSamplesPerSlotNonFinite:
+    def test_nan_inside_is_a_gap(self):
+        timestamps = [0.0, 1.0, 2.0, math.nan, *map(float, range(4, 12))]
+        with pytest.raises(TraceFormatError, match="gap in window 0: expected timestamp 3.0, got nan"):
+            samples_per_slot(timestamps, 6.0)
+
+    def test_inf_inside_is_a_gap(self):
+        timestamps = [0.0, 1.0, 2.0, math.inf, *map(float, range(4, 12))]
+        with pytest.raises(TraceFormatError, match="got inf"):
+            samples_per_slot(timestamps, 6.0)
+
+    @pytest.mark.parametrize("index", [0, 1, -1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_anchor_rejected(self, index, value):
+        timestamps = [float(i) for i in range(12)]
+        timestamps[index] = value
+        with pytest.raises(TraceFormatError, match="timestamps must be finite"):
+            samples_per_slot(timestamps, 6.0)
+
+    def test_finite_timestamps_still_accepted(self):
+        assert samples_per_slot([float(i) for i in range(12)], 6.0) == 6
+
+
+def oracle_parse_harvest(path):
+    """The line-at-a-time parser that parse_harvest replaced, kept as a reference."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0].strip() != ingest.HARVEST_HEADER:
+        raise TraceFormatError(f"{path}: line 1: expected header {ingest.HARVEST_HEADER!r}")
+    timestamps, solar, wind = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise TraceFormatError(f"{path}: line {lineno}: expected 3 fields")
+        try:
+            ts, s, w = (float(p) for p in parts)
+        except ValueError:
+            raise TraceFormatError(f"{path}: line {lineno}: malformed number") from None
+        if s < 0 or w < 0:
+            raise TraceFormatError(f"{path}: line {lineno}: negative harvest value")
+        timestamps.append(ts)
+        solar.append(s)
+        wind.append(w)
+    return timestamps, solar, wind
+
+
+def outcome(parse, path):
+    try:
+        return parse(path)
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+# bounded so that no format rounds a value past the largest float
+finite = st.floats(min_value=-1e300, max_value=1e300)
+non_negative = st.floats(min_value=0.0, max_value=1e300)
+spaces = st.sampled_from(["", " ", "  ", "\t"])
+number_format = st.sampled_from([repr, "{:e}".format, "{:.3E}".format, "{:.17g}".format])
+
+
+# each fault rewrites one row's fields; the oracle says what it should raise
+faults = st.sampled_from([
+    lambda ts, s, w: f"{ts},{s}",
+    lambda ts, s, w: f"{ts},{s},{w},{w}",
+    lambda ts, s, w: f"{ts},{s},",
+    lambda ts, s, w: f"{ts},{s},{w}x",
+    lambda ts, s, w: f"{ts},1.2.3,{w}",
+    lambda ts, s, w: f"{ts},-1e-300,{w}",
+    lambda ts, s, w: f"{ts},{s},-1{w.strip()}",
+    lambda ts, s, w: f"{ts};{s},{w}",
+])
+
+
+@st.composite
+def harvest_text(draw):
+    """A harvest file with any mix of the line shapes a writer may produce."""
+    n = draw(st.integers(0, 30))
+    lines = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "whitespace"]))
+        if kind == "row":
+            pad, fmt = draw(spaces), draw(number_format)
+            values = [draw(finite), draw(non_negative), draw(non_negative)]
+            lines.append(",".join(pad + fmt(v) + pad for v in values))
+        elif kind == "blank":
+            lines.append("")
+        else:
+            lines.append(draw(st.sampled_from([" ", "\t", " \t  "])))
+    rows = [i for i, line in enumerate(lines) if line.strip()]
+    # two faults in one chunk may cancel out in its field count
+    for i in draw(st.lists(st.sampled_from(rows), max_size=2, unique=True)) if rows else []:
+        lines[i] = draw(faults)(*lines[i].split(","))
+    text = draw(st.sampled_from(["timestamp_s,solar,wind", " timestamp_s,solar,wind "]))
+    for line in lines:
+        text += draw(st.sampled_from(["\n", "\r\n"])) + line
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["\n", "\r\n"]))
+    return text
+
+
+class TestStreamingParser:
+    """parse_harvest against the line-at-a-time oracle, across chunk boundaries."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("stream") / "h.csv"
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=harvest_text(), chunk_chars=st.integers(1, 200))
+    def test_matches_oracle(self, path, text, chunk_chars):
+        path.write_bytes(text.encode())
+        expected = outcome(oracle_parse_harvest, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+            assert outcome(parse_harvest, path) == expected
+
+    @pytest.mark.parametrize(
+        "fault",
+        [",1.x,", ",-1.,", ";1.0,", ",   ,", ",1,0,"],
+        ids=["malformed", "negative", "two-fields", "blank-field", "four-fields"],
+    )
+    def test_fault_at_each_chunk_edge(self, tmp_path, fault):
+        # same-width lines, so a fault of the same width keeps the chunk edges
+        lines = [f"{i:03d},1.0,2.0\n" for i in range(12)]
+        clean = tmp_path / "clean.csv"
+        clean.write_text("timestamp_s,solar,wind\n" + "".join(lines))
+        chunk_chars = 3 * len(lines[0])
+        edges = set()
+        with open(clean) as f:
+            f.readline()
+            start = 0
+            while chunk := f.readlines(chunk_chars):
+                edges |= {start, start + len(chunk) - 1}
+                start += len(chunk)
+        assert len(edges) >= 4
+        for i in sorted(edges):
+            bad = list(lines)
+            bad[i] = bad[i][:3] + fault + bad[i][8:]
+            path = tmp_path / f"bad{i}.csv"
+            path.write_text("timestamp_s,solar,wind\n" + "".join(bad))
+            expected = outcome(oracle_parse_harvest, path)
+            assert isinstance(expected, str) and f"line {i + 2}:" in expected
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+                assert outcome(parse_harvest, path) == expected
+
+    @pytest.mark.parametrize(
+        ("rows", "bad_line"),
+        [(["0,1", "1,2,3,4"], 2), (["0,1,2,3", "1,2"], 2), (["", "0,1,2,3,4"], 3)],
+    )
+    def test_field_counts_that_cancel_out(self, tmp_path, rows, bad_line):
+        path = tmp_path / "h.csv"
+        path.write_text("timestamp_s,solar,wind\n" + "\n".join(rows) + "\n")
+        with pytest.raises(TraceFormatError, match=f"line {bad_line}: expected 3 fields"):
+            parse_harvest(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", "timestamp,solar,wind\n0,1,1\n"])
+    def test_bad_header(self, tmp_path, text):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match="line 1: expected header"):
+            parse_harvest(path)
+        assert outcome(parse_harvest, path) == outcome(oracle_parse_harvest, path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("timestamp_s,solar,wind\n")
+        assert parse_harvest(path) == ([], [], [])
+
+    def test_memory_stays_near_result_size(self, tmp_path):
+        rng = random.Random(4)
+        n = 60_000
+        path = tmp_path / "harvest.csv"
+        write_harvest(path, [rng.random() for _ in range(n)], [rng.random() for _ in range(n)], 1.0)
+        tracemalloc.start()
+        try:
+            result = parse_harvest(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result[0]) == n
+        size = sum(sys.getsizeof(col) + sum(map(sys.getsizeof, col)) for col in result)
+        assert peak <= 1.5 * size, f"peak {peak} B is {peak / size:.2f}x the {size} B result"
 
 
 def test_trace_set_validates_lengths():
