@@ -4,10 +4,12 @@ All quantities are joules per time slot. Batteries are ideal: no
 charge/discharge or leakage losses, capped at capacity and clamped at zero.
 
 The per-slot rules work on plain floats: ``role_of`` reads a station's
-trading role from its reported level and ``battery_step`` advances one
-battery by one slot, grid purchase included. The engine calls them
-directly; ``classify_role``, ``eb_step_offgrid``, ``eb_step_ongrid`` and
-``grid_purchase`` wrap them for callers holding an ``EnergyBuffer``.
+trading role from its reported level and ``battery_steps`` advances every
+battery by one slot, grid purchase included, in one pass over the
+stations. The engine calls them directly; ``battery_step`` is the same
+pass over one station, and ``classify_role``, ``eb_step_offgrid``,
+``eb_step_ongrid`` and ``grid_purchase`` wrap the rules for callers
+holding an ``EnergyBuffer``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,6 @@ class SimClock:
     @property
     def minislots_per_slot(self) -> int:
         return round(self.slot_duration_s / self.mini_slot_duration_s)
-
-    def advanced(self) -> "SimClock":
-        return dataclasses.replace(self, slot_index=self.slot_index + 1)
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,54 @@ def classify_role(buffer: EnergyBuffer, grid_connected: bool) -> BsRole:
     return BsRole(RoleKind(kind), amount)
 
 
+def battery_steps(
+    levels_J: Sequence[float],
+    harvested_J: Sequence[float],
+    consumed_J: Sequence[float],
+    transferred_J: Sequence[float],
+    grid_connected: Sequence[bool],
+    capacity_J: float,
+    up_threshold_J: float,
+) -> tuple[list[float], list[float], list[int], list[int]]:
+    """Advance every station's battery one slot, in one pass over the stations.
+
+    Returns (new levels, purchases, clamped ids, capped ids); the vectors
+    are indexed by station id. transferred_J is signed: positive when the
+    station received energy, negative when it sent some. An off-grid
+    battery is capped at capacity and clamped at zero (an empty battery
+    cannot go negative; the engine logs the shortfall). A grid-connected
+    battery is floored at zero first, then buys up to its upper threshold on
+    that provisional level, capped at capacity. A station is clamped or
+    capped when its raw sum, purchase included, fell below zero or rose
+    above capacity. Vectors of different lengths raise ValueError.
+    """
+    n = len(levels_J)
+    levels = [0.0] * n
+    purchases = [0.0] * n
+    clamped: list[int] = []
+    capped: list[int] = []
+    for i, (level, h, c, flow, on_grid) in enumerate(
+        zip(levels_J, harvested_J, consumed_J, transferred_J, grid_connected, strict=True)
+    ):
+        if not (0 <= level <= capacity_J):
+            raise ValueError(f"station {i}: level {level} outside [0, {capacity_J}]")
+        if h < 0 or c < 0:
+            raise ValueError(f"station {i}: harvested_J and consumed_J must be >= 0")
+        raw = level + h - c + flow
+        if on_grid:
+            floor = max(raw, 0.0)
+            purchases[i] = purchase = max(up_threshold_J - min(floor, capacity_J), 0.0)
+            levels[i] = min(floor + purchase, capacity_J)
+            raw += purchase
+        else:
+            levels[i] = max(min(raw, capacity_J), 0.0)
+        if raw < 0.0:
+            clamped.append(i)
+        if raw > capacity_J:
+            capped.append(i)
+    return levels, purchases, clamped, capped
+
+
 def battery_step(
     level_J: float,
     harvested_J: float,
@@ -166,28 +214,13 @@ def battery_step(
 ) -> tuple[float, float, bool, bool]:
     """Advance one battery one slot: (new level, purchase, clamped, capped).
 
-    transferred_J is signed: positive when the station received energy,
-    negative when it sent some. An off-grid battery is capped at capacity
-    and clamped at zero (an empty battery cannot go negative; the engine
-    logs the shortfall). A grid-connected battery is floored at zero first,
-    then buys up to its upper threshold on that provisional level, capped
-    at capacity. clamped and capped say whether the raw sum, purchase
-    included, fell below zero or rose above capacity.
+    battery_steps on one-station lists; see it for the rules.
     """
-    if not (0 <= level_J <= capacity_J):
-        raise ValueError(f"level {level_J} outside [0, {capacity_J}]")
-    if harvested_J < 0 or consumed_J < 0:
-        raise ValueError("harvested_J and consumed_J must be >= 0")
-    raw = level_J + harvested_J - consumed_J + transferred_J
-    if grid_connected:
-        floor = max(raw, 0.0)
-        purchase = max(up_threshold_J - min(floor, capacity_J), 0.0)
-        new_level = min(floor + purchase, capacity_J)
-        raw += purchase
-    else:
-        purchase = 0.0
-        new_level = max(min(raw, capacity_J), 0.0)
-    return new_level, purchase, raw < 0.0, raw > capacity_J
+    levels, purchases, clamped, capped = battery_steps(
+        [level_J], [harvested_J], [consumed_J], [transferred_J], [grid_connected],
+        capacity_J, up_threshold_J,
+    )
+    return levels[0], purchases[0], bool(clamped), bool(capped)
 
 
 def eb_step_offgrid(

@@ -22,6 +22,7 @@ purchased energy can never be re-exported within the same slot.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,6 +100,16 @@ class SimConfig:
         for bs_id in self.on_grid_ids:
             if not (0 <= bs_id < n):
                 raise ConfigError(f"on_grid id {bs_id} outside 0..{n - 1}")
+        # written so that a NaN fails each comparison
+        for key in ("tau_s", "mini_slot_s", "beta_max_J", "bs_spacing_m"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be finite and positive, got {value}")
+        # a non-finite offset radius would keep the member-offset draw looping forever
+        for key in ("idle_energy_J", "max_load_energy_J", "offset_radius_m"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if not (0.0 < self.beta_low_fraction < self.beta_up_fraction < 1.0):
             raise ConfigError("thresholds must satisfy 0 < low < up < 1")
         if self.policy not in allocation.POLICIES:
@@ -115,8 +126,6 @@ class SimConfig:
             raise ConfigError("harvest_jitter must be in [0, 1)")
         if self.speed_min_mps > self.speed_max_mps:
             raise ConfigError("speed_min_mps exceeds speed_max_mps")
-        if self.bs_spacing_m <= 0 or self.offset_radius_m < 0:
-            raise ConfigError("bs_spacing_m must be positive, offset_radius_m >= 0")
         if self.slots_per_day < 1:
             raise ConfigError("slots_per_day must be >= 1")
         if self.n_vue_groups < 0 or self.members_per_group < 1:
@@ -361,18 +370,21 @@ class Simulation:
             for _ in self.stations
         ]
         self.policy_rng = random.Random(derive_seed(config.seed, _SEED_POLICY))
-        self.world_length_m = max((config.cols - 1) * config.bs_spacing_m, 1.0)
+        world_length_m = max((config.cols - 1) * config.bs_spacing_m, 1.0)
         mid_y = (config.rows - 1) * config.bs_spacing_m / 2.0
         lane_y = (mid_y - config.lane_gap_m / 2.0, mid_y + config.lane_gap_m / 2.0)
         # the only draws from the mobility stream: speeds, positions, offsets
-        self.groups = mobility.make_groups(
+        groups = mobility.make_groups(
             random.Random(derive_seed(config.seed, _SEED_MOBILITY)),
             config.n_vue_groups,
             config.members_per_group,
-            self.world_length_m,
+            world_length_m,
             lane_y,
             (config.speed_min_mps, config.speed_max_mps),
             config.offset_radius_m,
+        )
+        self.fleet = mobility.Fleet(
+            groups, config.tau_s, world_length_m, config.rows, config.cols, config.bs_spacing_m
         )
 
     def step(self, t: int) -> tuple[SlotMetrics, transfer.TransferOutcome]:
@@ -383,12 +395,7 @@ class Simulation:
         levels_start = tuple(self.levels)
 
         # mobility first: the association set is this slot's priority input
-        self.groups = [
-            mobility.rpgm_step(g, cfg.tau_s, self.world_length_m) for g in self.groups
-        ]
-        snapshot = mobility.association_set(
-            t, self.groups, cfg.rows, cfg.cols, cfg.bs_spacing_m
-        )
+        serving = self.fleet.step()
 
         roles: list[str] = []
         demands: dict[int, float] = {}
@@ -406,7 +413,7 @@ class Simulation:
         decisions, outage_ids = allocation.allocate_slot(
             cfg.policy,
             demands,
-            snapshot.serving,
+            serving,
             surpluses,
             (cfg.rows, cfg.cols),
             self.fractions.__getitem__,
@@ -435,17 +442,9 @@ class Simulation:
         k = t % self.slots_per_day
         consumption = [idle + row[k] * peak for idle, row, peak in self.consumption_terms]
 
-        purchases = [0.0] * n
-        clamped: list[int] = []
-        capped: list[int] = []
-        for i in ids:
-            self.levels[i], purchases[i], below, above = domain.battery_step(
-                levels_start[i], harvested[i], consumption[i], flows[i], on_grid[i], cap, up
-            )
-            if below:
-                clamped.append(i)
-            if above:
-                capped.append(i)
+        self.levels, purchases, clamped, capped = domain.battery_steps(
+            levels_start, harvested, consumption, flows, on_grid, cap, up
+        )
 
         delivered = [0.0] * n
         gross_out = [0.0] * n
@@ -470,7 +469,7 @@ class Simulation:
             purchase_J=tuple(purchases),
             harvest_J=tuple(harvested),
             consumption_J=tuple(consumption),
-            association=snapshot.serving,
+            association=serving,
             outage_ids=tuple(outage_ids),
             shortfall_ids=tuple(sorted({d.consumer_id for d in decisions if d.shortfall})),
             clamped_ids=tuple(clamped),
@@ -489,11 +488,7 @@ class Simulation:
             slots.append(metrics)
             jobs.extend((t, job) for job in outcome.jobs)
             if collect_trajectories:
-                trajectories.extend(
-                    mobility.trajectory_rows(
-                        t, self.groups, cfg.rows, cfg.cols, cfg.bs_spacing_m
-                    )
-                )
+                trajectories.extend(self.fleet.trajectory_rows(t))
             for i in range(cfg.n_bs):
                 queue_history[i].append(metrics.queue_J[i])
         theorem = None

@@ -22,7 +22,7 @@ from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import TraceFormatError
+from .errors import ConfigError, TraceFormatError
 
 PROFILE_HEADER = "slot,cluster0,cluster1,cluster2,cluster3"
 HARVEST_HEADER = "timestamp_s,solar,wind"
@@ -122,29 +122,16 @@ def load_profiles(
     return LoadProfileSet(clusters=clusters, assignment=assign_clusters(bs_ids, rng))
 
 
-def resample_to_slots(
-    timestamps_s: Sequence[float],
-    values: Sequence[float],
-    tau_s: float,
-) -> list[float]:
-    """Sum raw samples into consecutive tau-length windows.
-
-    Timestamps must be uniformly spaced with the slot length an exact
-    multiple of the sample interval; any gap is reported with the window
-    it breaks (see samples_per_slot). A trailing partial window is dropped.
-    """
-    if len(timestamps_s) != len(values):
-        raise TraceFormatError("timestamp and value counts differ")
-    return window_sums(values, samples_per_slot(timestamps_s, tau_s))
-
-
 def samples_per_slot(timestamps_s: Sequence[float], tau_s: float) -> int:
     """Check the sample timestamps and return how many fill one tau-length slot.
 
     The interval is the whole span over the sample count, and timestamps
     are compared to within a few ulps of their magnitude, so epoch-scale
-    timestamps work.
+    timestamps work. A slot length that is not finite and positive is a
+    ConfigError naming tau_s.
     """
+    if not (math.isfinite(tau_s) and tau_s > 0):
+        raise ConfigError(f"tau_s must be finite and positive, got {tau_s}")
     n = len(timestamps_s)
     if n < 2:
         raise TraceFormatError("need at least two samples to infer the interval")

@@ -6,6 +6,11 @@ long axis) and wraps around at the world edge. Member offsets are drawn
 once, inside a bounded radius, when the group is spawned; nothing reads
 them afterwards, since association and trajectories use the reference
 point. Associations go to the nearest base station, lowest id on ties.
+
+The engine steps a ``Fleet``: every group's position in one flat list,
+moved in place each slot. ``rpgm_step``, ``nearest_bs``,
+``association_set`` and ``trajectory_rows`` do the same for
+``VueGroup`` values through the same move and lookup helpers.
 """
 
 from __future__ import annotations
@@ -83,15 +88,48 @@ def make_groups(
     return groups
 
 
+def _advance(x_m: list[float], move_m: Sequence[float], world_length_m: float) -> None:
+    """Move each reference point by its per-slot move, in place, wrapping at the world edge."""
+    for k, move in enumerate(move_m):
+        x_m[k] = (x_m[k] + move) % world_length_m
+
+
+def _row_terms(y_m: float, rows: int, cols: int, spacing_m: float) -> tuple[int, int, float, float]:
+    """The row half of nearest_bs for height y: (row base id r0, r1, dy0, dy1).
+
+    r0 and r1 are the lattice rows either side of y, clamped to the grid,
+    given as the id of their first station (r * cols); dy0 and dy1 are the
+    squared distances to them. A group's y never changes, so a fleet
+    computes these once per group.
+    """
+    r0 = min(max(math.floor(y_m / spacing_m), 0), rows - 1)
+    r1 = min(r0 + 1, rows - 1)
+    return r0 * cols, r1 * cols, (r0 * spacing_m - y_m) ** 2, (r1 * spacing_m - y_m) ** 2
+
+
+def _nearest(
+    x_m: float, row_terms: tuple[int, int, float, float], cols: int, spacing_m: float
+) -> int:
+    """Id of the station nearest to x on the rows given by _row_terms (see nearest_bs)."""
+    b0, b1, dy0, dy1 = row_terms
+    c0 = min(max(math.floor(x_m / spacing_m), 0), cols - 1)
+    c1 = min(c0 + 1, cols - 1)
+    dx0 = (c0 * spacing_m - x_m) ** 2
+    dx1 = (c1 * spacing_m - x_m) ** 2
+    return min(
+        (dx0 + dy0, b0 + c0),
+        (dx1 + dy0, b0 + c1),
+        (dx0 + dy1, b1 + c0),
+        (dx1 + dy1, b1 + c1),
+    )[1]
+
+
 def rpgm_step(group: VueGroup, tau_s: float, world_length_m: float) -> VueGroup:
     """Advance one slot: move the reference point, wrapping at the world edge."""
+    x_m = [group.x_m]
+    _advance(x_m, [group.velocity_mps * tau_s], world_length_m)
     return VueGroup(
-        group.group_id,
-        (group.x_m + group.velocity_mps * tau_s) % world_length_m,
-        group.y_m,
-        group.velocity_mps,
-        group.lane,
-        group.member_offsets,
+        group.group_id, x_m[0], group.y_m, group.velocity_mps, group.lane, group.member_offsets
     )
 
 
@@ -105,20 +143,7 @@ def nearest_bs(x_m: float, y_m: float, rows: int, cols: int, spacing_m: float) -
     The two agree while a point lies within about 1e7 spacings of the grid;
     farther out, rounding can make stations beyond the block tie with it.
     """
-    c0 = min(max(math.floor(x_m / spacing_m), 0), cols - 1)
-    r0 = min(max(math.floor(y_m / spacing_m), 0), rows - 1)
-    c1 = min(c0 + 1, cols - 1)
-    r1 = min(r0 + 1, rows - 1)
-    dx0 = (c0 * spacing_m - x_m) ** 2
-    dx1 = (c1 * spacing_m - x_m) ** 2
-    dy0 = (r0 * spacing_m - y_m) ** 2
-    dy1 = (r1 * spacing_m - y_m) ** 2
-    return min(
-        (dx0 + dy0, r0 * cols + c0),
-        (dx1 + dy0, r0 * cols + c1),
-        (dx0 + dy1, r1 * cols + c0),
-        (dx1 + dy1, r1 * cols + c1),
-    )[1]
+    return _nearest(x_m, _row_terms(y_m, rows, cols, spacing_m), cols, spacing_m)
 
 
 def association_set(
@@ -145,3 +170,47 @@ def trajectory_rows(
         (slot_index, g.group_id, g.x_m, g.y_m, nearest_bs(g.x_m, g.y_m, rows, cols, spacing_m))
         for g in groups
     ]
+
+
+class Fleet:
+    """Every group's reference point as flat per-group lists, moved in place each slot.
+
+    Equal, slot for slot, to stepping the groups with rpgm_step and reading
+    them with association_set and trajectory_rows: each group's move is
+    velocity * tau, the product rpgm_step forms before adding it, and its
+    row terms for the nearest-station lookup come from its constant y once.
+    """
+
+    def __init__(
+        self,
+        groups: Sequence[VueGroup],
+        tau_s: float,
+        world_length_m: float,
+        rows: int,
+        cols: int,
+        spacing_m: float,
+    ) -> None:
+        self.group_ids = [g.group_id for g in groups]
+        self.x_m = [g.x_m for g in groups]
+        self.y_m = [g.y_m for g in groups]
+        self.move_m = [g.velocity_mps * tau_s for g in groups]
+        self.row_terms = [_row_terms(g.y_m, rows, cols, spacing_m) for g in groups]
+        self.world_length_m = world_length_m
+        self.cols = cols
+        self.spacing_m = spacing_m
+
+    def step(self) -> frozenset[int]:
+        """Advance every group one slot; returns the stations now serving at least one."""
+        _advance(self.x_m, self.move_m, self.world_length_m)
+        cols, spacing_m = self.cols, self.spacing_m
+        return frozenset(
+            [_nearest(x_m, terms, cols, spacing_m) for x_m, terms in zip(self.x_m, self.row_terms)]
+        )
+
+    def trajectory_rows(self, slot_index: int) -> list[tuple[int, int, float, float, int]]:
+        """Debug dump rows of the current positions (see the module-level trajectory_rows)."""
+        cols, spacing_m = self.cols, self.spacing_m
+        return [
+            (slot_index, g, x_m, y_m, _nearest(x_m, terms, cols, spacing_m))
+            for g, x_m, y_m, terms in zip(self.group_ids, self.x_m, self.y_m, self.row_terms)
+        ]

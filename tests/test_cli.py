@@ -187,6 +187,28 @@ class TestTraceCommands:
         assert rc == EXIT_VALIDATION
         assert "line 5: non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0", "-60"])
+    def test_validate_rejects_bad_slot_length(self, tmp_path, capsys, tau):
+        path = tmp_path / "h.csv"
+        path.write_text("timestamp_s,solar,wind\n0,1.0,0.5\n60,1.0,0.5\n")
+        assert main(["validate-traces", "--harvest", str(path), "--tau", tau]) == EXIT_VALIDATION
+        assert "tau_s must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tau_s", "nan"), ("mini_slot_s", "nan"), ("beta_max_J", "nan"),
+         ("idle_energy_J", "-7000.0"), ("max_load_energy_J", "inf")],
+    )
+    def test_run_rejects_bad_numeric_key_by_name(self, tmp_path, capsys, key, value):
+        lines = write_config(tmp_path, horizon_slots=5).read_text().splitlines()
+        path = tmp_path / "bad.cfg"
+        path.write_text(
+            "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines)
+        )
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert f"error: {key} must be finite" in capsys.readouterr().err
+
     def test_validate_needs_an_argument(self):
         assert main(["validate-traces"]) == EXIT_VALIDATION
 

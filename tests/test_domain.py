@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from ppgsim.domain import (
     RoleKind,
     SimClock,
     battery_step,
+    battery_steps,
     bs_consumption,
     classify_role,
     eb_step_offgrid,
@@ -46,9 +48,6 @@ class TestSimClock:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             SimClock(-1, 60.0, 5.0)
-
-    def test_advanced(self):
-        assert SimClock(3, 60.0, 5.0).advanced().slot_index == 4
 
 
 class TestEnergyBuffer:
@@ -292,3 +291,58 @@ class TestBatteryStep:
             battery_step(1e3, -1.0, 0.0, 0.0, False, CAP, UP)
         with pytest.raises(ValueError):
             battery_step(1e3, 0.0, -1.0, 0.0, True, CAP, UP)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+# -0.0 passes every range check, and min/max keep or drop its sign by
+# argument order; a sum is -0.0 only when all of its terms are signed zeros
+SIGNED_ZERO = st.just(-0.0)
+STATIONS = st.lists(
+    st.tuples(
+        LEVELS | SIGNED_ZERO, ENERGIES | SIGNED_ZERO, ENERGIES | SIGNED_ZERO,
+        FLOWS | SIGNED_ZERO, st.booleans(),
+    )
+    | st.tuples(SIGNED_ZERO, SIGNED_ZERO, st.sampled_from([0.0, -0.0]), SIGNED_ZERO, st.booleans()),
+    max_size=40,
+)
+
+
+class TestBatterySteps:
+    @settings(max_examples=300, deadline=None)
+    @given(STATIONS)
+    def test_matches_engine_arithmetic_bit_for_bit(self, stations):
+        levels, harvested, consumed, flows, on_grid = (
+            [[station[k] for station in stations] for k in range(5)]
+        )
+        got_levels, got_purchases, clamped, capped = battery_steps(
+            levels, harvested, consumed, flows, on_grid, CAP, UP
+        )
+        expected = [engine_battery_update(*station, CAP, UP) for station in stations]
+        assert [bits(v) for v in got_levels] == [bits(e[0]) for e in expected]
+        assert [bits(v) for v in got_purchases] == [bits(e[1]) for e in expected]
+        assert clamped == [i for i, e in enumerate(expected) if e[2]]
+        assert capped == [i for i, e in enumerate(expected) if e[3]]
+
+    def test_signed_zero_kept(self):
+        # an off-grid sum of negative zeros stays -0.0: max(-0.0, 0.0) returns its first argument
+        levels, _, clamped, _ = battery_steps([-0.0], [-0.0], [0.0], [-0.0], [False], CAP, UP)
+        assert bits(levels[0]) == bits(-0.0)
+        assert clamped == []
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.nextafter(CAP, math.inf)])
+    def test_rejects_level_outside_range_naming_station(self, bad):
+        with pytest.raises(ValueError, match="station 2: level"):
+            battery_steps([0.0, CAP, bad], [0.0] * 3, [0.0] * 3, [0.0] * 3, [False] * 3, CAP, UP)
+
+    def test_rejects_vectors_of_different_lengths(self):
+        with pytest.raises(ValueError):
+            battery_steps([0.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0], [False, False], CAP, UP)
+
+    def test_rejects_negative_inputs_naming_station(self):
+        with pytest.raises(ValueError, match="station 1:"):
+            battery_steps([0.0, 0.0], [0.0, -1.0], [0.0, 0.0], [0.0, 0.0], [True, True], CAP, UP)
+        with pytest.raises(ValueError, match="station 0:"):
+            battery_steps([0.0], [0.0], [-1.0], [0.0], [False], CAP, UP)

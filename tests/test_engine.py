@@ -68,6 +68,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(tau_s=60.0, mini_slot_s=7.0)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tau_s", math.nan), ("tau_s", math.inf), ("tau_s", 0.0),
+            ("mini_slot_s", math.nan), ("mini_slot_s", -5.0),
+            ("beta_max_J", math.nan), ("beta_max_J", math.inf), ("beta_max_J", 0.0),
+            ("idle_energy_J", -7000.0), ("idle_energy_J", math.nan),
+            ("max_load_energy_J", -1.0), ("max_load_energy_J", math.inf),
+            ("bs_spacing_m", math.nan), ("bs_spacing_m", 0.0),
+            ("offset_radius_m", math.nan), ("offset_radius_m", math.inf), ("offset_radius_m", -1.0),
+        ],
+    )
+    def test_bad_numeric_key_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            SimConfig(**{key: value})
+
+    def test_zero_energies_accepted(self):
+        SimConfig(idle_energy_J=0.0, max_load_energy_J=0.0)
+
     def test_derived_thresholds(self):
         cfg = SimConfig()
         assert cfg.beta_low_J == pytest.approx(147e3)

@@ -21,12 +21,12 @@ from ppgsim.ingest import (
     load_profiles,
     parse_harvest,
     parse_profiles,
-    resample_to_slots,
     samples_per_slot,
     scale_harvest,
     synthetic_harvest,
     synthetic_harvest_raw,
     synthetic_profiles,
+    window_sums,
     write_harvest,
     write_profiles,
 )
@@ -102,45 +102,45 @@ class TestResampling:
     def test_identity_at_slot_resolution(self):
         timestamps = [i * 60.0 for i in range(10)]
         values = [1e3] * 10
-        assert resample_to_slots(timestamps, values, 60.0) == [1e3] * 10
+        assert window_sums(values, samples_per_slot(timestamps, 60.0)) == [1e3] * 10
 
     def test_window_sum(self):
         timestamps = [i * 30.0 for i in range(10)]
         values = [0.5e3] * 10
-        assert resample_to_slots(timestamps, values, 60.0) == [1e3] * 5
+        assert window_sums(values, samples_per_slot(timestamps, 60.0)) == [1e3] * 5
 
     def test_gap_reported_with_window(self):
         timestamps = [0.0, 30.0, 90.0, 120.0]
         with pytest.raises(TraceFormatError, match="gap in window"):
-            resample_to_slots(timestamps, [1.0] * 4, 60.0)
+            samples_per_slot(timestamps, 60.0)
 
     def test_gap_window_number(self):
         # 1 s samples, 60 per window; sample 130 (window 2) is missing
         timestamps = [float(i) for i in range(300) if i != 130]
         with pytest.raises(TraceFormatError, match="gap in window 2: expected timestamp 130.0, got 131.0"):
-            resample_to_slots(timestamps, [1.0] * len(timestamps), 60.0)
+            samples_per_slot(timestamps, 60.0)
 
     def test_epoch_timestamps(self):
         # at 1.6e9 the first step reads 0.09999990463256836 s, not 0.1 s
         timestamps = [1.6e9 + 0.1 * i for i in range(1200)]
         assert timestamps[1] - timestamps[0] != 0.1
-        out = resample_to_slots(timestamps, [1.0] * 1200, 60.0)
+        out = window_sums([1.0] * 1200, samples_per_slot(timestamps, 60.0))
         assert out == [600.0, 600.0]
 
     def test_epoch_timestamps_with_gap_rejected(self):
         timestamps = [1.6e9 + 0.1 * i for i in range(1200) if i != 900]
         with pytest.raises(TraceFormatError, match="gap in window 1"):
-            resample_to_slots(timestamps, [1.0] * len(timestamps), 60.0)
+            samples_per_slot(timestamps, 60.0)
 
     def test_interval_larger_than_slot_rejected(self):
         with pytest.raises(TraceFormatError, match="not a multiple"):
-            resample_to_slots([0.0, 90.0], [1.0, 1.0], 60.0)
+            samples_per_slot([0.0, 90.0], 60.0)
 
     def test_conserves_energy(self):
         rng = random.Random(8)
         values = [rng.uniform(0, 10) for _ in range(240)]
         timestamps = [i * 15.0 for i in range(240)]
-        out = resample_to_slots(timestamps, values, 60.0)
+        out = window_sums(values, samples_per_slot(timestamps, 60.0))
         assert sum(out) == pytest.approx(sum(values), rel=1e-12)
 
     def test_load_harvest_sums_both_columns_per_window(self, tmp_path):
@@ -150,10 +150,10 @@ class TestResampling:
         rows = [f"{i * 6},{s!r},{w!r}\n" for i, (s, w) in enumerate(zip(solar, wind))]
         path = tmp_path / "harvest.csv"
         path.write_text("timestamp_s,solar,wind\n" + "".join(rows))
-        timestamps = [i * 6.0 for i in range(600)]
+        per_window = samples_per_slot([i * 6.0 for i in range(600)], 60.0)
         expected = scale_harvest(
-            resample_to_slots(timestamps, solar, 60.0),
-            resample_to_slots(timestamps, wind, 60.0),
+            window_sums(solar, per_window),
+            window_sums(wind, per_window),
             490e3,
             0.2,
         )

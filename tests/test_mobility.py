@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppgsim.mobility import (
+    Fleet,
     VueGroup,
     association_set,
     bs_world_positions,
@@ -146,3 +147,37 @@ class TestAssociation:
         assert all(row[0] == 3 for row in rows)
         snap = association_set(3, groups, 4, 6, 500.0)
         assert {row[4] for row in rows} == snap.serving
+
+
+@st.composite
+def fleets(draw):
+    """Groups on a random lattice: random speeds, either sign, lanes anywhere,
+    on a lattice row or midway between two rows."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 9))
+    spacing = draw(st.sampled_from([500.0, 333.3, 0.7]) | st.floats(0.5, 2e3))
+    world = max((cols - 1) * spacing, 1.0)
+    tau = draw(st.sampled_from([60.0, 1.0, 7.3]))
+    on_lattice = st.integers(-2, 2 * rows + 2).map(lambda k: k * spacing / 2.0)
+    lanes = draw(st.lists(on_lattice | st.floats(-spacing, rows * spacing), min_size=1, max_size=3))
+    groups = []
+    for g in range(draw(st.integers(0, 12))):
+        speed = draw(st.sampled_from([0.0, 10.0, 30.0]) | st.floats(0.0, 80.0))
+        lane = g % len(lanes)
+        velocity = speed if lane % 2 == 0 else -speed
+        groups.append(VueGroup(g, draw(st.floats(0.0, world)), lanes[lane], velocity, lane, ()))
+    return rows, cols, spacing, world, tau, groups
+
+
+class TestFleet:
+    @settings(max_examples=60, deadline=None)
+    @given(fleets())
+    def test_matches_stepping_groups(self, case):
+        rows, cols, spacing, world, tau, groups = case
+        fleet = Fleet(groups, tau, world, rows, cols, spacing)
+        for t in range(200):
+            groups = [rpgm_step(g, tau, world) for g in groups]
+            serving = fleet.step()
+            assert [repr(x) for x in fleet.x_m] == [repr(g.x_m) for g in groups]
+            assert serving == association_set(t, groups, rows, cols, spacing).serving
+        assert fleet.trajectory_rows(7) == trajectory_rows(7, groups, rows, cols, spacing)
