@@ -438,17 +438,30 @@ def theorem1_report(
     """
     if not delivered_per_slot:
         raise ValueError("need at least one slot of history")
-    lhs = sum(delivered_per_slot) / len(delivered_per_slot)
-    target = 0.0 if target_value is None else target_value
+    return theorem1_diagnostic(
+        sum(delivered_per_slot) / len(delivered_per_slot),
+        (sum(history) / len(history) for history in queue_histories.values() if history),
+        lam,
+        cap_J,
+        0.0 if target_value is None else target_value,
+    )
+
+
+def theorem1_diagnostic(
+    mean_delivered_J: float,
+    mean_queues_J: Iterable[float],
+    lam: float,
+    cap_J: float,
+    target_value: float = 0.0,
+) -> TheoremDiagnostic:
+    """theorem1_report from the run's means, which a streamed run keeps as running sums."""
     if lam == 0.0:
         return TheoremDiagnostic(
-            lhs=lhs, rhs=float("nan"), target_value=target, lam=lam,
+            lhs=mean_delivered_J, rhs=float("nan"), target_value=target_value, lam=lam,
             satisfied=False, skipped=True, note="control weight is zero; bound undefined",
         )
-    mean_queue_sum = sum(
-        sum(history) / len(history) for history in queue_histories.values() if history
-    )
-    rhs = target + (mean_queue_sum - cap_J) ** 2 / (2.0 * lam)
+    rhs = target_value + (sum(mean_queues_J) - cap_J) ** 2 / (2.0 * lam)
     return TheoremDiagnostic(
-        lhs=lhs, rhs=rhs, target_value=target, lam=lam, satisfied=lhs <= rhs,
+        lhs=mean_delivered_J, rhs=rhs, target_value=target_value, lam=lam,
+        satisfied=mean_delivered_J <= rhs,
     )

@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import engine, ingest
-from .engine import RunResult, SimConfig
+from . import allocation, engine, ingest
+from .engine import RunResult, RunSummary, SimConfig
 from .errors import ConfigError, TraceFormatError
 
 EXIT_OK = 0
@@ -77,14 +77,15 @@ def _load_config(args: argparse.Namespace) -> SimConfig:
 
 
 def emit_plot_data(
-    results: dict[str, RunResult],
+    results: dict[str, RunResult | RunSummary],
     out_dir: str | Path,
     hourly: bool = False,
 ) -> list[Path]:
     """Write plot-ready series: one delivered file per policy, one shared demand file.
 
     The demand series comes from the first policy in the mapping. With
-    hourly=True, slot values are summed into 60-slot buckets.
+    hourly=True, slot values are summed into 60-slot buckets. A streamed
+    result must have kept its series (FileSink or SummarySink with keep_series).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -98,19 +99,19 @@ def emit_plot_data(
     first = next(iter(results.values()), None)
     header = "hour,energy_J" if hourly else "slot,energy_J"
     if first is not None:
-        demand = bucket([m.total_demand_J for m in first.slots])
+        demand = bucket(first.demand_series)
         path = out / "demand.csv"
         path.write_text("\n".join([header] + [f"{i},{v!r}" for i, v in enumerate(demand)]) + "\n")
         written.append(path)
     for policy, result in results.items():
-        delivered = bucket([m.total_delivered_J for m in result.slots])
+        delivered = bucket(result.delivered_series)
         path = out / f"delivered_{policy}.csv"
         path.write_text("\n".join([header] + [f"{i},{v!r}" for i, v in enumerate(delivered)]) + "\n")
         written.append(path)
     return written
 
 
-def emit_lambda_table(sweep: list[tuple[float, RunResult]], out_dir: str | Path) -> Path:
+def emit_lambda_table(sweep: list[tuple[float, RunResult | RunSummary]], out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["lambda,mean_eb_J,delivered_J,demand_coverage_pct"]
@@ -127,9 +128,12 @@ def emit_lambda_table(sweep: list[tuple[float, RunResult]], out_dir: str | Path)
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    result = engine.run(config, collect_trajectories=args.dump_trajectories)
+    result = engine.run(
+        config,
+        sink_for=lambda cfg: engine.FileSink(cfg, args.out, trajectories=args.dump_trajectories),
+    )
     paths = engine.write_outputs(result, args.out)
-    print(f"policy={config.policy} seed={config.seed} slots={len(result.slots)}")
+    print(f"policy={config.policy} seed={config.seed} slots={result.summary['horizon_slots']}")
     print(f"delivered_J={result.summary['total_delivered_J']!r}")
     print(f"demand_coverage_pct={result.summary['demand_coverage_pct']!r}")
     for name, path in paths.items():
@@ -140,7 +144,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    results = engine.compare(config, policies)
+    # every run streams its data files; summaries and plot series are written
+    # once all runs are done
+    results = engine.compare(
+        config,
+        policies,
+        sink_for=lambda cfg: engine.FileSink(cfg, args.out, prefix=cfg.policy, keep_series=True),
+    )
     for policy, result in results.items():
         engine.write_outputs(result, args.out, prefix=policy)
         print(
@@ -161,7 +171,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         print("error: --values is empty", file=sys.stderr)
         return EXIT_VALIDATION
-    sweep = engine.sweep_lambda(config, values)
+    sweep = engine.sweep_lambda(config, values, sink_for=engine.SummarySink)
     path = emit_lambda_table(sweep, args.out)
     for lam, result in sweep:
         print(f"lambda={lam}: mean_eb_J={result.summary['mean_eb_J']!r}")
@@ -208,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="scenario file (key = value); defaults built in")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--policy", default=None, choices=["lyapunov", "radial", "random"], help="override the allocation policy")
+        p.add_argument("--policy", default=None, choices=allocation.POLICIES, help="override the allocation policy")
         p.add_argument("--lambda", dest="lam", type=float, default=None, help="override the control weight")
         p.add_argument("--horizon", type=int, default=None, help="override the horizon in slots")
         p.add_argument("--out", default="out", help="output directory")

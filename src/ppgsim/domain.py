@@ -189,13 +189,20 @@ def battery_steps(
         if h < 0 or c < 0:
             raise ValueError(f"station {i}: harvested_J and consumed_J must be >= 0")
         raw = level + h - c + flow
+        # conditional expressions in place of two-argument min/max: max(a, b)
+        # returns b only when b > a and min(a, b) only when b < a, so each
+        # gives the same bits, signed zeros and NaN included, at less cost
         if on_grid:
-            floor = max(raw, 0.0)
-            purchases[i] = purchase = max(up_threshold_J - min(floor, capacity_J), 0.0)
-            levels[i] = min(floor + purchase, capacity_J)
+            floor = 0.0 if 0.0 > raw else raw
+            held = capacity_J if capacity_J < floor else floor
+            gap = up_threshold_J - held
+            purchases[i] = purchase = 0.0 if 0.0 > gap else gap
+            topped = floor + purchase
+            levels[i] = capacity_J if capacity_J < topped else topped
             raw += purchase
         else:
-            levels[i] = max(min(raw, capacity_J), 0.0)
+            capped_raw = capacity_J if capacity_J < raw else raw
+            levels[i] = 0.0 if 0.0 > capped_raw else capped_raw
         if raw < 0.0:
             clamped.append(i)
         if raw > capacity_J:

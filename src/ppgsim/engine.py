@@ -11,7 +11,7 @@ Event order inside one slot is a frozen contract:
 7. update batteries; grid-connected stations purchase up to their
    upper threshold on the provisional end-of-slot level
 8. advance the per-station virtual queues
-9. emit the slot metrics row
+9. hand the slot's metrics and jobs to the run's sink
 
 Consequences worth noting: energy delivered in a slot is usable against
 that slot's consumption (battery updates sum all flows at once), and a
@@ -21,12 +21,13 @@ purchased energy can never be re-exported within the same slot.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Protocol, Sequence, TextIO
 
 from . import allocation, domain, ingest, mobility, topology, transfer
 from .allocation import TheoremDiagnostic, VirtualQueues
@@ -101,15 +102,20 @@ class SimConfig:
             if not (0 <= bs_id < n):
                 raise ConfigError(f"on_grid id {bs_id} outside 0..{n - 1}")
         # written so that a NaN fails each comparison
-        for key in ("tau_s", "mini_slot_s", "beta_max_J", "bs_spacing_m"):
+        for key in ("tau_s", "mini_slot_s", "beta_max_J", "bs_spacing_m", "delta_s"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be finite and positive, got {value}")
         # a non-finite offset radius would keep the member-offset draw looping forever
-        for key in ("idle_energy_J", "max_load_energy_J", "offset_radius_m"):
+        for key in ("idle_energy_J", "max_load_energy_J", "offset_radius_m", "xi_s"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{key} must be finite and >= 0, got {value}")
+        # a non-finite vehicle position would reach the integer lattice lookup
+        for key in ("lane_gap_m", "speed_min_mps", "speed_max_mps"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if not (0.0 < self.beta_low_fraction < self.beta_up_fraction < 1.0):
             raise ConfigError("thresholds must satisfy 0 < low < up < 1")
         if self.policy not in allocation.POLICIES:
@@ -120,8 +126,6 @@ class SimConfig:
             raise ConfigError("horizon_slots must be >= 0")
         if not (0.0 <= self.initial_fill_fraction <= 1.0):
             raise ConfigError("initial_fill_fraction must be in [0, 1]")
-        if self.delta_s <= 0 or self.xi_s < 0:
-            raise ConfigError("delta_s must be positive and xi_s >= 0")
         if not (0.0 <= self.harvest_jitter < 1.0):
             raise ConfigError("harvest_jitter must be in [0, 1)")
         if self.speed_min_mps > self.speed_max_mps:
@@ -269,19 +273,48 @@ class SlotMetrics:
         return sum(self.purchase_J)
 
 
+TrajectoryRow = tuple[int, int, float, float, int]
+
+
 @dataclass
 class RunResult:
+    """A whole run held in memory: every slot's metrics, job and vehicle position."""
+
     config: SimConfig
     slots: list[SlotMetrics]
     jobs: list[tuple[int, TransferJob]]
     theorem: TheoremDiagnostic | None
     summary: dict[str, object] = field(default_factory=dict)
-    trajectories: list[tuple[int, int, float, float, int]] = field(default_factory=list)
+    trajectories: list[TrajectoryRow] = field(default_factory=list)
 
     @property
     def grants(self) -> list[LinkGrant]:
         """Link grants of the whole run, in slot, job and route order."""
         return [grant for slot, job in self.jobs for grant in transfer.job_grants(slot, job)]
+
+    @property
+    def demand_series(self) -> list[float]:
+        return [m.total_demand_J for m in self.slots]
+
+    @property
+    def delivered_series(self) -> list[float]:
+        return [m.total_delivered_J for m in self.slots]
+
+
+@dataclass
+class RunSummary:
+    """What a streamed run keeps once its slots are gone.
+
+    paths holds the data files its sink wrote while the run stepped; the
+    per-slot demand and delivered totals are kept only when asked for.
+    """
+
+    config: SimConfig
+    theorem: TheoremDiagnostic | None
+    summary: dict[str, object]
+    paths: dict[str, Path] = field(default_factory=dict)
+    demand_series: list[float] | None = None
+    delivered_series: list[float] | None = None
 
 
 def build_traces(config: SimConfig) -> tuple[LoadProfileSet, HarvestTraceSet]:
@@ -477,33 +510,23 @@ class Simulation:
             n_overruns=sum(1 for job in outcome.jobs if job.overrun),
         ), outcome
 
-    def run(self, collect_trajectories: bool = False) -> RunResult:
-        cfg = self.config
-        slots: list[SlotMetrics] = []
-        jobs: list[tuple[int, TransferJob]] = []
-        trajectories: list[tuple[int, int, float, float, int]] = []
-        queue_history: dict[int, list[float]] = {i: [] for i in range(cfg.n_bs)}
-        for t in range(cfg.horizon_slots):
+    def run(self, collect_trajectories: bool = False, sink: SlotSink | None = None):
+        """Step every slot into the sink and return what its close() returns.
+
+        The default sink keeps the whole run as a RunResult (with vehicle
+        positions when collect_trajectories is set); a streaming sink keeps
+        O(stations) state however long the horizon.
+        """
+        if sink is None:
+            sink = ResultSink(self.config, collect_trajectories)
+        fleet, dump = self.fleet, sink.trajectories
+        for t in range(self.config.horizon_slots):
             metrics, outcome = self.step(t)
-            slots.append(metrics)
-            jobs.extend((t, job) for job in outcome.jobs)
-            if collect_trajectories:
-                trajectories.extend(self.fleet.trajectory_rows(t))
-            for i in range(cfg.n_bs):
-                queue_history[i].append(metrics.queue_J[i])
-        theorem = None
-        if slots:
-            mean_demand = sum(m.total_demand_J for m in slots) / len(slots)
-            theorem = allocation.theorem1_report(
-                [m.total_delivered_J for m in slots],
-                queue_history,
-                cfg.lam,
-                cfg.beta_max_J,
-                target_value=mean_demand,
-            )
-        result = RunResult(cfg, slots, jobs, theorem, trajectories=trajectories)
-        result.summary = summarize(result)
-        return result
+            sink.slot(metrics, outcome.jobs, fleet.trajectory_rows(t) if dump else ())
+        return sink.close()
+
+
+SinkFactory = Callable[[SimConfig], "SlotSink"]
 
 
 def run(
@@ -511,171 +534,365 @@ def run(
     profiles: LoadProfileSet | None = None,
     harvest: HarvestTraceSet | None = None,
     collect_trajectories: bool = False,
-) -> RunResult:
-    """Build and execute one run; traces may be injected for shared-trace studies."""
-    return Simulation(config, profiles, harvest).run(collect_trajectories)
+    sink_for: SinkFactory | None = None,
+):
+    """Build and execute one run; traces may be injected for shared-trace studies.
+
+    Returns a RunResult, or what the sink built by sink_for(config) returns.
+    """
+    sim = Simulation(config, profiles, harvest)
+    return sim.run(collect_trajectories, sink_for(config) if sink_for else None)
 
 
-def compare(config: SimConfig, policies: Sequence[str]) -> dict[str, RunResult]:
+def compare(config: SimConfig, policies: Sequence[str], sink_for: SinkFactory | None = None) -> dict:
     """Run several policies against identical traces, mobility and seed."""
     profiles, harvest = build_traces(config)
     results = {}
     for policy in policies:
         cfg = dataclasses.replace(config, policy=policy)
-        results[policy] = run(cfg, profiles, harvest)
+        results[policy] = run(cfg, profiles, harvest, sink_for=sink_for)
     return results
 
 
-def sweep_lambda(config: SimConfig, values: Sequence[float]) -> list[tuple[float, RunResult]]:
+def sweep_lambda(
+    config: SimConfig, values: Sequence[float], sink_for: SinkFactory | None = None
+) -> list[tuple[float, object]]:
     """Run the configured policy once per control-weight value, same traces."""
     profiles, harvest = build_traces(config)
     out = []
     for lam in values:
         cfg = dataclasses.replace(config, lam=lam)
-        out.append((lam, run(cfg, profiles, harvest)))
+        out.append((lam, run(cfg, profiles, harvest, sink_for=sink_for)))
     return out
+
+
+def coverage_pct(demand_J: float, delivered_J: float) -> float:
+    """Delivered energy as a percentage of demand; full when nothing was asked."""
+    if demand_J == 0.0:
+        return 100.0
+    return 100.0 * delivered_J / demand_J
 
 
 def demand_coverage_pct(slots: Sequence[SlotMetrics]) -> float:
     """Delivered energy as a percentage of demand over the whole run."""
-    demand = sum(m.total_demand_J for m in slots)
-    if demand == 0.0:
-        return 100.0
-    return 100.0 * sum(m.total_delivered_J for m in slots) / demand
+    return coverage_pct(
+        sum(m.total_demand_J for m in slots), sum(m.total_delivered_J for m in slots)
+    )
 
 
-def min_restored_level_J(slots: Sequence[SlotMetrics], offgrid_ids: Sequence[int]) -> float:
-    """Lowest off-grid buffer level counting the slot's incoming transfer.
+# ---------------------------------------------------------------------------
+# Slot sinks. Simulation.run hands each slot to one; the summary, the file
+# writers and the in-memory result all go through the accumulator and the
+# row formatters below, so a streamed run and a stored one write the same
+# bytes. Float fields use repr so identical runs write identical bytes.
+# ---------------------------------------------------------------------------
 
-    This is the level the allocator restores a deficient station to; a
-    policy that always meets demand keeps it at or above the low threshold.
+
+# one metrics.csv row; every field is an int or a float, so repr renders each
+SlotRow = collections.namedtuple(
+    "SlotRow",
+    "slot n_sources n_consumers demand_J delivered_J gross_J flow_sum_J purchase_J harvest_J"
+    " consumption_J outages shortfalls overruns assoc_size min_level_offgrid_J"
+    " min_restored_offgrid_J mean_level_J queue_sum_J",
+)
+
+_METRICS_HEADER = ",".join(SlotRow._fields)
+_TRANSFERS_HEADER = (
+    "slot,job_id,source,consumer,gross_J,fraction,delivered_J,hops,"
+    "mini_slots,start_mini_slot,occupancy_s,completion_s,status,shortfall,route"
+)
+_TRAJECTORIES_HEADER = "slot,group,x_m,y_m,serving_bs"
+
+
+def metrics_line(row: SlotRow) -> str:
+    return ",".join(map(repr, row))
+
+
+def transfer_line(slot: int, job: TransferJob) -> str:
+    d = job.decision
+    route = "|".join(f"{r}:{c}" for r, c in job.route.hops)
+    return (
+        f"{slot},{job.job_id},{d.source_id},{d.consumer_id},{d.gross_J!r},"
+        f"{d.fraction!r},{d.delivered_J!r},{d.hops},{job.mini_slots},"
+        f"{job.start_mini_slot},{job.occupancy_s!r},{job.completion_s!r},"
+        f"{job.status},{int(d.shortfall)},{route}"
+    )
+
+
+def trajectory_line(row: TrajectoryRow) -> str:
+    slot, group, x, y, bs = row
+    return f"{slot},{group},{x!r},{y!r},{bs}"
+
+
+class SummaryAccumulator:
+    """A run's summary totals, fed one slot at a time in slot order.
+
+    Each total starts from the int 0 and adds one slot's value, as the
+    builtin sum does over a stored list, and each minimum replaces the
+    running one only when strictly lower, as min does, so the summary of a
+    streamed run equals that of the stored run bit for bit. The restored
+    level of a station is its level plus the energy delivered to it that
+    slot: the level the allocator restores a deficient station to, at or
+    above the lower threshold under a policy that meets every demand.
     """
-    lows = [
-        m.level_J[i] + m.delivered_J[i]
-        for m in slots
-        for i in offgrid_ids
-    ]
-    return min(lows) if lows else float("inf")
+
+    def __init__(self, config: SimConfig) -> None:
+        self.config = config
+        self.offgrid = [i for i in range(config.n_bs) if i not in config.on_grid_ids]
+        self.n_slots = 0
+        self.demand = self.delivered = self.negative_flow = self.purchase = 0
+        self.harvest = self.consumption = self.level = 0
+        self.demand_slots = self.unmet_slots = 0
+        self.outages = self.shortfalls = self.overruns = self.clamps = 0
+        self.min_level = self.min_restored = math.inf
+        # per-station sums of the slot-start queue values, for the theorem's means
+        self.queue_sums = [0] * config.n_bs
+
+    def add(self, m: SlotMetrics) -> SlotRow:
+        """Fold one slot into the totals and return its metrics row."""
+        demand = m.total_demand_J
+        delivered = m.total_delivered_J
+        negative = sum((f for f in m.flow_J if f < 0.0), 0.0)
+        purchase = m.total_purchase_J
+        harvest = sum(m.harvest_J)
+        consumption = sum(m.consumption_J)
+        level = sum(m.level_J)
+        min_level = min_restored = 0.0
+        if self.offgrid:
+            levels, received = m.level_J, m.delivered_J
+            min_level = min(levels[i] for i in self.offgrid)
+            min_restored = min(levels[i] + received[i] for i in self.offgrid)
+            if min_level < self.min_level:
+                self.min_level = min_level
+            if min_restored < self.min_restored:
+                self.min_restored = min_restored
+        self.n_slots += 1
+        self.demand += demand
+        self.delivered += delivered
+        self.negative_flow += negative
+        self.purchase += purchase
+        self.harvest += harvest
+        self.consumption += consumption
+        self.level += level
+        self.demand_slots += demand > 0
+        self.unmet_slots += delivered < demand - 1e-6
+        self.outages += len(m.outage_ids)
+        self.shortfalls += len(m.shortfall_ids)
+        self.overruns += m.n_overruns
+        self.clamps += len(m.clamped_ids)
+        self.queue_sums = [total + q for total, q in zip(self.queue_sums, m.queue_J)]
+        return SlotRow(
+            m.slot, m.role.count("source"), m.role.count("consumer"),
+            demand, delivered, -negative, m.total_flow_J, purchase, harvest, consumption,
+            len(m.outage_ids), len(m.shortfall_ids), m.n_overruns, len(m.association),
+            min_level, min_restored, level / self.config.n_bs, sum(m.queue_J),
+        )
+
+    def theorem(self) -> TheoremDiagnostic | None:
+        """The penalty-bound diagnostic against the run's mean demand; None without slots."""
+        n, cfg = self.n_slots, self.config
+        if not n:
+            return None
+        return allocation.theorem1_diagnostic(
+            self.delivered / n,
+            [total / n for total in self.queue_sums],
+            cfg.lam,
+            cfg.beta_max_J,
+            target_value=self.demand / n,
+        )
+
+    def summary(self, theorem: TheoremDiagnostic | None) -> dict[str, object]:
+        cfg, n = self.config, self.n_slots
+        summary: dict[str, object] = {
+            "policy": cfg.policy,
+            "lam": cfg.lam,
+            "seed": cfg.seed,
+            "horizon_slots": n,
+            "total_demand_J": self.demand,
+            "total_delivered_J": self.delivered,
+            "total_gross_J": -self.negative_flow,
+            "total_purchased_J": self.purchase,
+            "total_harvest_J": self.harvest,
+            "total_consumption_J": self.consumption,
+            "demand_coverage_pct": coverage_pct(self.demand, self.delivered),
+            "demand_slots": self.demand_slots,
+            "unmet_slots": self.unmet_slots,
+            "outage_events": self.outages,
+            "shortfall_events": self.shortfalls,
+            "overrun_jobs": self.overruns,
+            "clamp_events": self.clamps,
+            "mean_eb_J": self.level / (n * cfg.n_bs) if n else 0.0,
+            "min_offgrid_level_J": self.min_level,
+            "min_offgrid_restored_J": self.min_restored,
+            "c2_restored": (
+                self.min_restored >= cfg.beta_low_J - 1e-6 if n and self.offgrid else True
+            ),
+        }
+        if theorem is not None:
+            summary["theorem_lhs_J"] = theorem.lhs
+            summary["theorem_rhs_J"] = theorem.rhs
+            summary["theorem_target_J"] = theorem.target_value
+            summary["theorem_satisfied"] = theorem.satisfied
+            summary["theorem_skipped"] = theorem.skipped
+        for key, value in config_items(cfg):
+            summary[f"config.{key}"] = value
+        return summary
+
+
+class SlotSink(Protocol):
+    """Receives a run one slot at a time; Simulation.run returns what close() returns."""
+
+    # whether the run should compute each slot's vehicle positions for it
+    trajectories: bool
+
+    def slot(
+        self, metrics: SlotMetrics, jobs: Sequence[TransferJob], trajectory: Sequence[TrajectoryRow]
+    ) -> None: ...
+
+    def close(self) -> object: ...
+
+
+class SummarySink:
+    """Keeps only the running summary, and on request each slot's demand and delivered totals."""
+
+    trajectories = False
+
+    def __init__(self, config: SimConfig, keep_series: bool = False) -> None:
+        self.totals = SummaryAccumulator(config)
+        self.demand_series: list[float] | None = [] if keep_series else None
+        self.delivered_series: list[float] | None = [] if keep_series else None
+
+    def add(self, metrics: SlotMetrics) -> SlotRow:
+        row = self.totals.add(metrics)
+        if self.demand_series is not None:
+            self.demand_series.append(row.demand_J)
+            self.delivered_series.append(row.delivered_J)
+        return row
+
+    def slot(self, metrics, jobs, trajectory) -> None:
+        self.add(metrics)
+
+    def close(self) -> RunSummary:
+        theorem = self.totals.theorem()
+        return RunSummary(
+            self.totals.config,
+            theorem,
+            self.totals.summary(theorem),
+            demand_series=self.demand_series,
+            delivered_series=self.delivered_series,
+        )
+
+
+def _output_path(out_dir: str | Path, prefix: str, name: str) -> Path:
+    suffix = "txt" if name == "summary" else "csv"
+    return Path(out_dir) / f"{prefix}_{name}.{suffix}" if prefix else Path(out_dir) / f"{name}.{suffix}"
+
+
+def _open_stream(path: Path, header: str) -> TextIO:
+    # write-through: each row goes straight into the file's byte buffer, so
+    # no list of pending row strings builds up between flushes
+    handle = path.open("w")
+    handle.reconfigure(write_through=True)
+    handle.write(header + "\n")
+    return handle
+
+
+class FileSink(SummarySink):
+    """Streams metrics.csv, transfers.csv and, when asked, trajectories.csv as the run steps.
+
+    summary.txt needs the whole run, so write_outputs writes it from the
+    RunSummary that close() returns. The trajectories file is created with
+    its first row, so a run without vehicle rows writes none.
+    """
+
+    def __init__(
+        self,
+        config: SimConfig,
+        out_dir: str | Path,
+        prefix: str = "",
+        trajectories: bool = False,
+        keep_series: bool = False,
+    ) -> None:
+        super().__init__(config, keep_series)
+        self.trajectories = trajectories
+        self.out_dir, self.prefix = out_dir, prefix
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        self.paths = {name: _output_path(out_dir, prefix, name) for name in ("metrics", "transfers")}
+        self._metrics = _open_stream(self.paths["metrics"], _METRICS_HEADER)
+        self._transfers = _open_stream(self.paths["transfers"], _TRANSFERS_HEADER)
+        self._trajectories: TextIO | None = None
+
+    def slot(self, metrics, jobs, trajectory) -> None:
+        self._metrics.write(metrics_line(self.add(metrics)) + "\n")
+        for job in jobs:
+            self._transfers.write(transfer_line(metrics.slot, job) + "\n")
+        if trajectory:
+            if self._trajectories is None:
+                self.paths["trajectories"] = _output_path(self.out_dir, self.prefix, "trajectories")
+                self._trajectories = _open_stream(self.paths["trajectories"], _TRAJECTORIES_HEADER)
+            for row in trajectory:
+                self._trajectories.write(trajectory_line(row) + "\n")
+
+    def close(self) -> RunSummary:
+        for handle in (self._metrics, self._transfers, self._trajectories):
+            if handle is not None:
+                handle.close()
+        result = super().close()
+        result.paths = self.paths
+        return result
+
+
+class ResultSink(SummarySink):
+    """Keeps every slot, job and vehicle row: the in-memory RunResult."""
+
+    def __init__(self, config: SimConfig, trajectories: bool = False) -> None:
+        super().__init__(config)
+        self.trajectories = trajectories
+        self.slots: list[SlotMetrics] = []
+        self.jobs: list[tuple[int, TransferJob]] = []
+        self.rows: list[TrajectoryRow] = []
+
+    def slot(self, metrics, jobs, trajectory) -> None:
+        self.add(metrics)
+        self.slots.append(metrics)
+        self.jobs.extend((metrics.slot, job) for job in jobs)
+        self.rows.extend(trajectory)
+
+    def close(self) -> RunResult:
+        done = super().close()
+        return RunResult(done.config, self.slots, self.jobs, done.theorem, done.summary, self.rows)
+
+
+def _replay(result: RunResult, sink: SlotSink):
+    """Feed a stored run's slots to a sink, as Simulation.run did, and close it."""
+    jobs: dict[int, list[TransferJob]] = {}
+    for slot, job in result.jobs:
+        jobs.setdefault(slot, []).append(job)
+    rows: dict[int, list[TrajectoryRow]] = {}
+    for row in result.trajectories:
+        rows.setdefault(row[0], []).append(row)
+    for m in result.slots:
+        sink.slot(m, jobs.get(m.slot, ()), rows.get(m.slot, ()))
+    return sink.close()
 
 
 def summarize(result: RunResult) -> dict[str, object]:
-    cfg = result.config
-    slots = result.slots
-    offgrid = [i for i in range(cfg.n_bs) if i not in cfg.on_grid_ids]
-    n_slots = len(slots)
-    total_demand = sum(m.total_demand_J for m in slots)
-    total_delivered = sum(m.total_delivered_J for m in slots)
-    summary: dict[str, object] = {
-        "policy": cfg.policy,
-        "lam": cfg.lam,
-        "seed": cfg.seed,
-        "horizon_slots": n_slots,
-        "total_demand_J": total_demand,
-        "total_delivered_J": total_delivered,
-        "total_gross_J": -sum(sum((f for f in m.flow_J if f < 0.0), 0.0) for m in slots),
-        "total_purchased_J": sum(m.total_purchase_J for m in slots),
-        "total_harvest_J": sum(sum(m.harvest_J) for m in slots),
-        "total_consumption_J": sum(sum(m.consumption_J) for m in slots),
-        "demand_coverage_pct": demand_coverage_pct(slots),
-        "demand_slots": sum(1 for m in slots if m.total_demand_J > 0),
-        "unmet_slots": sum(
-            1 for m in slots if m.total_delivered_J < m.total_demand_J - 1e-6
-        ),
-        "outage_events": sum(len(m.outage_ids) for m in slots),
-        "shortfall_events": sum(len(m.shortfall_ids) for m in slots),
-        "overrun_jobs": sum(m.n_overruns for m in slots),
-        "clamp_events": sum(len(m.clamped_ids) for m in slots),
-        "mean_eb_J": (
-            sum(sum(m.level_J) for m in slots) / (n_slots * cfg.n_bs) if n_slots else 0.0
-        ),
-        "min_offgrid_level_J": (
-            min(min(m.level_J[i] for i in offgrid) for m in slots)
-            if n_slots and offgrid
-            else float("inf")
-        ),
-        "min_offgrid_restored_J": min_restored_level_J(slots, offgrid),
-        "c2_restored": (
-            min_restored_level_J(slots, offgrid) >= cfg.beta_low_J - 1e-6
-            if n_slots and offgrid
-            else True
-        ),
-    }
-    if result.theorem is not None:
-        summary["theorem_lhs_J"] = result.theorem.lhs
-        summary["theorem_rhs_J"] = result.theorem.rhs
-        summary["theorem_target_J"] = result.theorem.target_value
-        summary["theorem_satisfied"] = result.theorem.satisfied
-        summary["theorem_skipped"] = result.theorem.skipped
-    for key, value in config_items(cfg):
-        summary[f"config.{key}"] = value
-    return summary
-
-
-# ---------------------------------------------------------------------------
-# Delimited output; float fields use repr so identical runs write identical bytes.
-# ---------------------------------------------------------------------------
-
-_METRIC_COLUMNS = [
-    "slot", "n_sources", "n_consumers", "demand_J", "delivered_J", "gross_J",
-    "flow_sum_J", "purchase_J", "harvest_J", "consumption_J", "outages",
-    "shortfalls", "overruns", "assoc_size", "min_level_offgrid_J",
-    "min_restored_offgrid_J", "mean_level_J", "queue_sum_J",
-]
+    totals = SummaryAccumulator(result.config)
+    for m in result.slots:
+        totals.add(m)
+    return totals.summary(result.theorem)
 
 
 def metrics_rows(result: RunResult) -> list[str]:
-    cfg = result.config
-    offgrid = [i for i in range(cfg.n_bs) if i not in cfg.on_grid_ids]
-    rows = [",".join(_METRIC_COLUMNS)]
-    for m in result.slots:
-        gross = -sum((f for f in m.flow_J if f < 0.0), 0.0)
-        min_off = min((m.level_J[i] for i in offgrid), default=0.0)
-        min_restored = min((m.level_J[i] + m.delivered_J[i] for i in offgrid), default=0.0)
-        rows.append(
-            ",".join(
-                [
-                    str(m.slot),
-                    str(sum(1 for r in m.role if r == "source")),
-                    str(sum(1 for r in m.role if r == "consumer")),
-                    repr(m.total_demand_J),
-                    repr(m.total_delivered_J),
-                    repr(gross),
-                    repr(m.total_flow_J),
-                    repr(m.total_purchase_J),
-                    repr(sum(m.harvest_J)),
-                    repr(sum(m.consumption_J)),
-                    str(len(m.outage_ids)),
-                    str(len(m.shortfall_ids)),
-                    str(m.n_overruns),
-                    str(len(m.association)),
-                    repr(min_off),
-                    repr(min_restored),
-                    repr(sum(m.level_J) / cfg.n_bs),
-                    repr(sum(m.queue_J)),
-                ]
-            )
-        )
-    return rows
+    totals = SummaryAccumulator(result.config)
+    return [_METRICS_HEADER, *(metrics_line(totals.add(m)) for m in result.slots)]
 
 
 def transfer_rows(result: RunResult) -> list[str]:
-    rows = [
-        "slot,job_id,source,consumer,gross_J,fraction,delivered_J,hops,"
-        "mini_slots,start_mini_slot,occupancy_s,completion_s,status,shortfall,route"
-    ]
-    for slot, job in result.jobs:
-        d = job.decision
-        route = "|".join(f"{r}:{c}" for r, c in job.route.hops)
-        rows.append(
-            f"{slot},{job.job_id},{d.source_id},{d.consumer_id},{d.gross_J!r},"
-            f"{d.fraction!r},{d.delivered_J!r},{d.hops},{job.mini_slots},"
-            f"{job.start_mini_slot},{job.occupancy_s!r},{job.completion_s!r},"
-            f"{job.status},{int(d.shortfall)},{route}"
-        )
-    return rows
+    return [_TRANSFERS_HEADER, *(transfer_line(slot, job) for slot, job in result.jobs)]
 
 
-def summary_rows(result: RunResult) -> list[str]:
+def summary_rows(result: RunResult | RunSummary) -> list[str]:
     rows = []
     for key, value in result.summary.items():
         if isinstance(value, float):
@@ -685,27 +902,22 @@ def summary_rows(result: RunResult) -> list[str]:
     return rows
 
 
-def trajectory_rows_text(result: RunResult) -> list[str]:
-    rows = ["slot,group,x_m,y_m,serving_bs"]
-    for slot, group, x, y, bs in result.trajectories:
-        rows.append(f"{slot},{group},{x!r},{y!r},{bs}")
-    return rows
+def write_outputs(
+    result: RunResult | RunSummary, out_dir: str | Path, prefix: str = ""
+) -> dict[str, Path]:
+    """Write a run's files and return the path of each: metrics, transfers, summary, trajectories.
 
-
-def write_outputs(result: RunResult, out_dir: str | Path, prefix: str = "") -> dict[str, Path]:
-    """Write metrics, transfer audit and summary files; returns their paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = f"{prefix}_" if prefix else ""
-    paths = {
-        "metrics": out / f"{tag}metrics.csv",
-        "transfers": out / f"{tag}transfers.csv",
-        "summary": out / f"{tag}summary.txt",
-    }
-    paths["metrics"].write_text("\n".join(metrics_rows(result)) + "\n")
-    paths["transfers"].write_text("\n".join(transfer_rows(result)) + "\n")
+    A stored RunResult is replayed through a FileSink. A streamed
+    RunSummary already wrote its data files while it ran; only summary.txt
+    is written here, and the returned paths include the streamed files.
+    """
+    if isinstance(result, RunResult):
+        streamed = _replay(result, FileSink(result.config, out_dir, prefix))
+    else:
+        streamed = result
+    paths = dict(streamed.paths)
+    paths["summary"] = _output_path(out_dir, prefix, "summary")
     paths["summary"].write_text("\n".join(summary_rows(result)) + "\n")
-    if result.trajectories:
-        paths["trajectories"] = out / f"{tag}trajectories.csv"
-        paths["trajectories"].write_text("\n".join(trajectory_rows_text(result)) + "\n")
+    if "trajectories" in paths:
+        paths["trajectories"] = paths.pop("trajectories")
     return paths

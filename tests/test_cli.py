@@ -2,6 +2,7 @@
 
 import pytest
 
+from ppgsim.allocation import POLICIES
 from ppgsim.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
@@ -107,6 +108,10 @@ class TestBadUsage:
     def test_bad_policy_choice(self):
         assert main(["run", "--policy", "greedy"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_registered_policy_is_a_choice(self, tmp_path, policy):
+        assert main(["run", "--policy", policy, "--horizon", "0", "--out", str(tmp_path)]) == EXIT_OK
+
 
 class TestCompareCommand:
     def test_compare_emits_series(self, tmp_path):
@@ -197,7 +202,8 @@ class TestTraceCommands:
     @pytest.mark.parametrize(
         "key, value",
         [("tau_s", "nan"), ("mini_slot_s", "nan"), ("beta_max_J", "nan"),
-         ("idle_energy_J", "-7000.0"), ("max_load_energy_J", "inf")],
+         ("idle_energy_J", "-7000.0"), ("max_load_energy_J", "inf"),
+         ("lane_gap_m", "nan"), ("speed_max_mps", "inf"), ("delta_s", "inf"), ("xi_s", "nan")],
     )
     def test_run_rejects_bad_numeric_key_by_name(self, tmp_path, capsys, key, value):
         lines = write_config(tmp_path, horizon_slots=5).read_text().splitlines()

@@ -84,6 +84,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{key} must be finite"):
             SimConfig(**{key: value})
 
+    @pytest.mark.parametrize(
+        "key", ["lane_gap_m", "speed_min_mps", "speed_max_mps", "delta_s", "xi_s"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_key_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            SimConfig(**{key: value})
+
+    def test_deadline_past_slot_end_accepted(self):
+        # delta_s only decides which jobs are flagged as overruns; a deadline
+        # past the end of the slot is allowed and flags none
+        cfg = SimConfig(delta_s=90.0, horizon_slots=3)
+        assert cfg.delta_s > cfg.tau_s
+        assert run(cfg).summary["overrun_jobs"] == 0
+
     def test_zero_energies_accepted(self):
         SimConfig(idle_energy_J=0.0, max_load_energy_J=0.0)
 
@@ -337,3 +352,61 @@ class TestStepContract:
         argv = ["compare", "--horizon", "5", "--policies", "lyapunov,radial", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         assert calls == {"step": 10, "run": 2, "write_outputs": 2, "emit_plot_data": 1}
+
+    def test_compare_finishes_every_run_before_the_first_write(self, monkeypatch, tmp_path):
+        # a caller timing the gap between one run's end and the next run's
+        # first step as set-up would count any write made in that gap
+        events = []
+
+        def logged(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(f"{name} start")
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    events.append(f"{name} end")
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        logged(Simulation, "run")
+        logged(engine, "write_outputs")
+        logged(cli, "emit_plot_data")
+        argv = ["compare", "--horizon", "5", "--policies", "lyapunov,radial", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert events == [
+            *["run start", "run end"] * 2,
+            *["write_outputs start", "write_outputs end"] * 2,
+            "emit_plot_data start",
+            "emit_plot_data end",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--horizon", "5", "--policies", "lyapunov,radial"],
+            ["run", "--horizon", "5", "--dump-trajectories"],
+            ["run", "--horizon", "0", "--dump-trajectories"],
+        ],
+    )
+    def test_write_hooks_return_every_written_file(self, monkeypatch, tmp_path, argv):
+        returned = []
+
+        def recording(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                returned.append(result)
+                return result
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        recording(engine, "write_outputs")
+        recording(cli, "emit_plot_data")
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        # write_outputs returns {name: path}, emit_plot_data a list of paths
+        paths = [p for r in returned for p in (r.values() if isinstance(r, dict) else r)]
+        assert sorted(paths) == sorted(out.iterdir())
