@@ -1,9 +1,12 @@
 """Per-slot source-to-consumer energy allocation.
 
-Three interchangeable policies produce AllocationDecision lists from the
-same slot snapshot (demands, remaining surpluses, lattice shape, loss
-model). Station ids are row-major on the rows x cols lattice, so the hop
-count between two stations is their lattice (Manhattan) distance.
+allocate_slot is the one slot driver for every policy. The PICKS registry
+maps a policy name to a builder that takes the slot's context (lattice
+shape, loss model, queues, consumptions, control weight, policy rng) and
+returns the slot's pick(consumer, demand_J, available) closure; a new
+policy is one registered builder. Station ids are row-major on the
+rows x cols lattice, so the hop count between two stations is their
+lattice (Manhattan) distance.
 
 * ``lyapunov`` - consumers served priority-first; for each, the sources
   able to cover the demand after route losses are preferred, the nearest
@@ -19,7 +22,8 @@ count between two stations is their lattice (Manhattan) distance.
 * ``radial`` - a two-ring neighborhood search around the consumer.
 * ``random`` - a uniform draw over all current sources.
 
-All policies debit a source's remaining surplus as decisions are made, so
+allocate_slot serves consumers with associated users first, then the
+rest, and debits a source's remaining surplus as decisions are made, so
 later consumers in the same slot see updated availability; a source whose
 surplus is spent drops out of the slot.
 """
@@ -35,8 +39,6 @@ from .errors import ConfigError
 
 Shape = tuple[int, int]
 FractionFn = Callable[[int], float]
-
-POLICIES = ("lyapunov", "radial", "random")
 
 
 @dataclass(frozen=True)
@@ -289,17 +291,95 @@ def consumer_order(demands: Mapping[int, float], priority: frozenset[int]) -> li
 PickFn = Callable[[int, float, dict[int, float]], AllocationDecision | None]
 
 
-def _drive(
+def lyapunov_picks(
+    shape: Shape, fraction_of: FractionFn, queues: Mapping[int, float],
+    consumptions: Mapping[int, float], lam: float, rng: random.Random,
+) -> PickFn:
+    """Drift-plus-penalty pick over the sources the ring search collects.
+
+    consumptions holds the latest known per-station consumption (the
+    previous slot's, since the current slot's load is only known at its end).
+    """
+
+    def pick(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
+        return lyapunov_pick(
+            consumer,
+            demand_J,
+            available,
+            ring_sources(consumer, demand_J, available, shape, fraction_of),
+            fraction_of,
+            queues.get(consumer, 0.0),
+            consumptions.get(consumer, 0.0),
+            lam,
+        )
+
+    return pick
+
+
+def radial_picks(
+    shape: Shape, fraction_of: FractionFn, queues: Mapping[int, float],
+    consumptions: Mapping[int, float], lam: float, rng: random.Random,
+) -> PickFn:
+    """Benchmark pick over the consumer's first RADIAL_MAX_RINGS hop rings."""
+
+    def pick(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
+        hops_to = {
+            s: d
+            for d in range(1, RADIAL_MAX_RINGS + 1)
+            for s in ring_ids(consumer, d, shape)
+            if s in available
+        }
+        return radial_allocate(consumer, demand_J, available, hops_to, fraction_of)
+
+    return pick
+
+
+def random_picks(
+    shape: Shape, fraction_of: FractionFn, queues: Mapping[int, float],
+    consumptions: Mapping[int, float], lam: float, rng: random.Random,
+) -> PickFn:
+    """Benchmark pick drawn uniformly from every source, at its lattice distance."""
+    cols = shape[1]
+
+    def pick(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
+        r0, c0 = divmod(consumer, cols)
+        hops_to = {s: abs(s // cols - r0) + abs(s % cols - c0) for s in available}
+        return random_allocate(consumer, demand_J, available, hops_to, fraction_of, rng)
+
+    return pick
+
+
+# policy name -> builder of the slot's pick; a new policy is one entry here
+PICKS: dict[str, Callable[..., PickFn]] = {
+    "lyapunov": lyapunov_picks,
+    "radial": radial_picks,
+    "random": random_picks,
+}
+POLICIES = tuple(PICKS)
+
+
+def allocate_slot(
+    policy: str,
     demands: Mapping[int, float],
     priority: frozenset[int],
     surpluses: Mapping[int, float],
-    pick: PickFn,
+    shape: Shape,
+    fraction_of: FractionFn,
+    queues: Mapping[int, float],
+    consumptions: Mapping[int, float],
+    lam: float,
+    rng: random.Random,
 ) -> tuple[list[AllocationDecision], list[int]]:
-    """Serve consumers in order from the sources that still have surplus.
+    """Serve one slot's consumers in order under the named policy.
 
-    A source is dropped once its surplus is spent, so a consumer that finds
-    none left is an outage without a search.
+    shape is the (rows, cols) of the row-major station lattice. A source is
+    dropped once its surplus is spent, so a consumer that finds none left is
+    an outage without a search. Returns the decision list plus the ids of
+    consumers no source could serve at all.
     """
+    if policy not in PICKS:
+        raise ConfigError(f"unknown policy {policy!r}; pick one of {POLICIES}")
+    pick = PICKS[policy](shape, fraction_of, queues, consumptions, lam, rng)
     available = {s: a for s, a in surpluses.items() if a > 0.0}
     decisions: list[AllocationDecision] = []
     outages: list[int] = []
@@ -315,94 +395,6 @@ def _drive(
             del available[picked.source_id]
         decisions.append(picked)
     return decisions, outages
-
-
-def lyapunov_allocate(
-    demands: Mapping[int, float],
-    priority: frozenset[int],
-    surpluses: Mapping[int, float],
-    shape: Shape,
-    fraction_of: FractionFn,
-    queues: Mapping[int, float],
-    consumptions: Mapping[int, float],
-    lam: float,
-) -> tuple[list[AllocationDecision], list[int]]:
-    """Run the drift-plus-penalty policy over a whole slot.
-
-    Station ids are row-major on a rows x cols lattice (shape), so hop
-    counts are lattice distances. consumptions holds the latest known
-    per-station consumption (the previous slot's, since the current slot's
-    load is only known at its end). Returns the decision list plus the ids
-    of consumers no source could serve at all.
-    """
-
-    def pick(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
-        return lyapunov_pick(
-            consumer,
-            demand_J,
-            available,
-            ring_sources(consumer, demand_J, available, shape, fraction_of),
-            fraction_of,
-            queues.get(consumer, 0.0),
-            consumptions.get(consumer, 0.0),
-            lam,
-        )
-
-    return _drive(demands, priority, surpluses, pick)
-
-
-def benchmark_allocate(
-    policy: str,
-    demands: Mapping[int, float],
-    priority: frozenset[int],
-    surpluses: Mapping[int, float],
-    shape: Shape,
-    fraction_of: FractionFn,
-    rng: random.Random,
-) -> tuple[list[AllocationDecision], list[int]]:
-    """Shared slot driver for the radial and random source searches."""
-    if policy not in ("radial", "random"):
-        raise ConfigError(f"unknown benchmark policy {policy!r}")
-    cols = shape[1]
-
-    def radial(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
-        hops_to = {
-            s: d
-            for d in range(1, RADIAL_MAX_RINGS + 1)
-            for s in ring_ids(consumer, d, shape)
-            if s in available
-        }
-        return radial_allocate(consumer, demand_J, available, hops_to, fraction_of)
-
-    def uniform(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
-        r0, c0 = divmod(consumer, cols)
-        hops_to = {s: abs(s // cols - r0) + abs(s % cols - c0) for s in available}
-        return random_allocate(consumer, demand_J, available, hops_to, fraction_of, rng)
-
-    return _drive(demands, priority, surpluses, radial if policy == "radial" else uniform)
-
-
-def allocate_slot(
-    policy: str,
-    demands: Mapping[int, float],
-    priority: frozenset[int],
-    surpluses: Mapping[int, float],
-    shape: Shape,
-    fraction_of: FractionFn,
-    queues: Mapping[int, float],
-    consumptions: Mapping[int, float],
-    lam: float,
-    rng: random.Random,
-) -> tuple[list[AllocationDecision], list[int]]:
-    """Dispatch one slot's allocation to the configured policy.
-
-    shape is the (rows, cols) of the row-major station lattice.
-    """
-    if policy == "lyapunov":
-        return lyapunov_allocate(
-            demands, priority, surpluses, shape, fraction_of, queues, consumptions, lam
-        )
-    return benchmark_allocate(policy, demands, priority, surpluses, shape, fraction_of, rng)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    # checked before any run, so a bad list writes no file
+    if not policies:
+        raise ConfigError("--policies is empty")
+    for policy in policies:
+        if policy not in allocation.POLICIES:
+            raise ConfigError(f"unknown policy {policy!r}; pick one of {allocation.POLICIES}")
     # every run streams its data files; summaries and plot series are written
     # once all runs are done
     results = engine.compare(
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run several policies on identical traces")
     add_common(p_cmp)
-    p_cmp.add_argument("--policies", default="lyapunov,radial,random", help="comma-separated policy list")
+    p_cmp.add_argument("--policies", default=",".join(allocation.POLICIES), help="comma-separated policy list")
     p_cmp.add_argument("--hourly", action="store_true", help="aggregate plot series to hours")
     p_cmp.set_defaults(func=_cmd_compare)
 

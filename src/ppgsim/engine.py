@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Protocol, Sequence, TextIO
 
 from . import allocation, domain, ingest, mobility, topology, transfer
 from .allocation import TheoremDiagnostic, VirtualQueues
-from .domain import BaseStation, EnergyBuffer, SimClock
+from .domain import SimClock
 from .errors import ConfigError
 from .ingest import HarvestTraceSet, LoadProfileSet
 from .topology import LossModel, PpgGrid
@@ -167,33 +167,6 @@ class SimConfig:
 
     def loss_model(self) -> LossModel:
         return topology.loss_model_for(self.make_grid(), self.phi_max_J, self.mini_slot_s)
-
-    def make_buffer(self, level_J: float) -> EnergyBuffer:
-        return EnergyBuffer(
-            level_J=level_J,
-            capacity_J=self.beta_max_J,
-            low_threshold_J=self.beta_low_J,
-            up_threshold_J=self.beta_up_J,
-        )
-
-    def make_stations(self) -> list[BaseStation]:
-        initial = self.initial_fill_fraction * self.beta_max_J
-        stations = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                bs_id = r * self.cols + c
-                stations.append(
-                    BaseStation(
-                        id=bs_id,
-                        row=r,
-                        col=c,
-                        grid_connected=bs_id in self.on_grid_ids,
-                        buffer=self.make_buffer(initial),
-                        idle_energy_J=self.idle_energy_J,
-                        max_load_energy_J=self.max_load_energy_J,
-                    )
-                )
-        return stations
 
 
 # configuration fields are echoed into summaries and parsed back from
@@ -373,13 +346,12 @@ class Simulation:
         self.fractions = [
             self.loss.delivered_fraction(d) for d in range(config.rows + config.cols - 1)
         ]
-        self.stations = config.make_stations()
-        self.positions = {bs.id: bs.node for bs in self.stations}
         # one int object per id, shared by every slot's role maps and id lists
-        self.ids = [bs.id for bs in self.stations]
-        self.on_grid = [bs.grid_connected for bs in self.stations]
+        self.ids = list(range(config.n_bs))
+        self.positions = {i: divmod(i, config.cols) for i in self.ids}
+        self.on_grid = [i in config.on_grid_ids for i in self.ids]
         # per-station state, indexed by station id
-        self.levels: list[float] = [bs.buffer.level_J for bs in self.stations]
+        self.levels: list[float] = [config.initial_fill_fraction * config.beta_max_J] * config.n_bs
         # each profile value is checked here once, not per station in every slot
         for k, row in enumerate(profiles.clusters):
             for slot, value in enumerate(row):
@@ -390,8 +362,8 @@ class Simulation:
                     )
         # consumption = idle + profile value * peak load, from (idle, row, peak) per station
         self.consumption_terms = [
-            (bs.idle_energy_J, profiles.clusters[profiles.assignment[bs.id]], bs.max_load_energy_J)
-            for bs in self.stations
+            (config.idle_energy_J, profiles.clusters[profiles.assignment[i]], config.max_load_energy_J)
+            for i in self.ids
         ]
         self.queues = VirtualQueues(range(config.n_bs))
         self.prev_consumption: dict[int, float] = dict.fromkeys(range(config.n_bs), 0.0)
@@ -400,7 +372,7 @@ class Simulation:
             1.0
             if config.harvest_jitter == 0.0
             else jitter_rng.uniform(1.0 - config.harvest_jitter, 1.0 + config.harvest_jitter)
-            for _ in self.stations
+            for _ in self.ids
         ]
         self.policy_rng = random.Random(derive_seed(config.seed, _SEED_POLICY))
         world_length_m = max((config.cols - 1) * config.bs_spacing_m, 1.0)

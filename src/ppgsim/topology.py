@@ -95,12 +95,6 @@ class PowerLink:
     def reservations(self) -> tuple[tuple[int, int], ...]:
         return tuple(self._reservations)
 
-    @property
-    def occupied_until_mini_slot(self) -> int | None:
-        if not self._reservations:
-            return None
-        return max(e for _, e in self._reservations)
-
 
 @dataclass(frozen=True)
 class Route:

@@ -3,13 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from ppgsim.allocation import POLICIES
 from ppgsim.cli import parse_config_file
 from ppgsim.engine import SimConfig, compare, sweep_lambda
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_CONFIG = REPO_ROOT / "configs" / "table1.cfg"
 
-POLICIES = ("lyapunov", "radial", "random")
 LAMBDA_VALUES = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 

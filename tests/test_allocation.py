@@ -10,10 +10,8 @@ from ppgsim.allocation import (
     AllocationDecision,
     VirtualQueues,
     allocate_slot,
-    benchmark_allocate,
     consumer_order,
     deliverable,
-    lyapunov_allocate,
     lyapunov_pick,
     p2_score,
     queue_update,
@@ -165,8 +163,8 @@ class TestLyapunovAllocate:
     def test_source_debited_across_consumers(self):
         demands = {1: 20e3, 2: 20e3}
         surpluses = {0: 25e3}
-        decisions, outages = lyapunov_allocate(
-            demands, frozenset(), surpluses, (1, 3), FRACTION, {}, {}, 1.0
+        decisions, outages = allocate_slot(
+            "lyapunov", demands, frozenset(), surpluses, (1, 3), FRACTION, {}, {}, 1.0, random.Random(1)
         )
         total_gross = sum(d.gross_J for d in decisions if d.source_id == 0)
         assert total_gross <= 25e3 + 1e-9
@@ -175,8 +173,8 @@ class TestLyapunovAllocate:
         assert decisions[1].shortfall
 
     def test_outage_when_no_source(self):
-        decisions, outages = lyapunov_allocate(
-            {5: 10e3}, frozenset(), {}, (1, 6), FRACTION, {}, {}, 1.0
+        decisions, outages = allocate_slot(
+            "lyapunov", {5: 10e3}, frozenset(), {}, (1, 6), FRACTION, {}, {}, 1.0, random.Random(1)
         )
         assert decisions == []
         assert outages == [5]
@@ -238,14 +236,8 @@ class TestRandom:
 
 class TestSlotDrivers:
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            benchmark_allocate("greedy", {}, frozenset(), {}, (1, 2), FRACTION, random.Random(1))
-
-    def test_dispatch_matches_direct_call(self):
-        args = ({1: 10e3}, frozenset(), {0: 50e3}, (1, 2), FRACTION)
-        direct, _ = lyapunov_allocate(*args, {}, {}, 1.0)
-        routed, _ = allocate_slot("lyapunov", *args, {}, {}, 1.0, random.Random(1))
-        assert direct == routed
+        with pytest.raises(ConfigError, match="'greedy'"):
+            allocate_slot("greedy", {}, frozenset(), {}, (1, 2), FRACTION, {}, {}, 1.0, random.Random(1))
 
 
 # The sort-based slot drivers that the ring search replaced, kept as the

@@ -132,6 +132,20 @@ class TestCompareCommand:
         assert demand[0] == "hour,energy_J"
         assert len(demand) == 1 + 2  # 120 slots -> 2 hourly buckets
 
+    def test_unknown_policy_rejected_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--horizon", "30", "--policies", "lyapunov,greedy", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "'greedy'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policies", ["", " , "])
+    def test_empty_policies_rejected(self, tmp_path, capsys, policies):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--horizon", "30", "--policies", policies, "--out", str(out)]) == EXIT_VALIDATION
+        assert "--policies is empty" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_sweep_writes_table(self, tmp_path):

@@ -27,6 +27,29 @@ from ppgsim.errors import ConfigError
 from ppgsim.ingest import HarvestTraceSet, LoadProfileSet
 
 
+def reference_stations(config):
+    """One BaseStation per lattice node, row-major, as the config describes it."""
+    buffer = domain.EnergyBuffer(
+        config.initial_fill_fraction * config.beta_max_J,
+        config.beta_max_J,
+        config.beta_low_J,
+        config.beta_up_J,
+    )
+    return [
+        domain.BaseStation(
+            id=r * config.cols + c,
+            row=r,
+            col=c,
+            grid_connected=r * config.cols + c in config.on_grid_ids,
+            buffer=buffer,
+            idle_energy_J=config.idle_energy_J,
+            max_load_energy_J=config.max_load_energy_J,
+        )
+        for r in range(config.rows)
+        for c in range(config.cols)
+    ]
+
+
 def quiet_traces(config, solar=0.0, wind=0.0, load=0.0):
     """Flat traces: constant load fraction and constant harvest."""
     n = max(config.horizon_slots, 1)
@@ -203,11 +226,22 @@ class TestStepSemantics:
         profiles, harvest = build_traces(cfg)
         assert len(set(profiles.assignment.values())) > 1
         sim = Simulation(cfg, profiles, harvest)
+        stations = reference_stations(cfg)
         for t in range(cfg.horizon_slots):
             metrics, _ = sim.step(t)
             assert metrics.consumption_J == tuple(
-                domain.bs_consumption(bs, profiles.load_at(bs.id, t)) for bs in sim.stations
+                domain.bs_consumption(bs, profiles.load_at(bs.id, t)) for bs in stations
             )
+
+    def test_station_state_built_from_config(self):
+        cfg = SimConfig(rows=3, cols=5, on_grid_ids=(2, 7), initial_fill_fraction=0.4, horizon_slots=1)
+        sim = Simulation(cfg)
+        stations = reference_stations(cfg)
+        assert sim.ids == [bs.id for bs in stations]
+        assert sim.positions == {bs.id: bs.node for bs in stations}
+        assert sim.on_grid == [bs.grid_connected for bs in stations]
+        assert sim.levels == [bs.buffer.level_J for bs in stations]
+        assert [i for i, flag in enumerate(sim.on_grid) if flag] == [2, 7]
 
     def test_association_feeds_priority(self, reference_config):
         cfg = dataclasses.replace(reference_config, horizon_slots=10)

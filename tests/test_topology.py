@@ -139,7 +139,7 @@ class TestReservations:
     def test_reserve_free_link(self):
         link = PowerLink(((0, 0), (0, 1)))
         link.reserve(0, 3)
-        assert link.occupied_until_mini_slot == 3
+        assert link.reservations == ((0, 3),)
 
     def test_overlap_rejected(self):
         link = PowerLink(((0, 0), (0, 1)))
@@ -158,7 +158,7 @@ class TestReservations:
         link = PowerLink(((0, 0), (0, 1)))
         link.reserve(0, 3)
         link.reserve(3, 5)
-        assert link.occupied_until_mini_slot == 5
+        assert link.reservations == ((0, 3), (3, 5))
 
     def test_empty_range_rejected(self):
         link = PowerLink(((0, 0), (0, 1)))
@@ -174,7 +174,7 @@ class TestReservations:
         link = PowerLink(((0, 0), (0, 1)))
         link.reserve(0, 3)
         link.clear()
-        assert link.occupied_until_mini_slot is None
+        assert link.reservations == ()
 
 
 def walk_route(a, b):
