@@ -11,14 +11,14 @@ lattice (Manhattan) distance.
 * ``lyapunov`` - consumers served priority-first; for each, the sources
   able to cover the demand after route losses are preferred, the nearest
   wins, and the drift-plus-penalty score breaks ties between equally near
-  candidates. The search walks hop rings d = 1, 2, ... around the
-  consumer and stops after the first ring holding an adequate source,
-  once every source with surplus has been seen, or, with at least one
-  source collected, when even the largest surplus times the delivered
-  fraction of the next ring falls short of the demand. The fraction falls
-  with d and float products are monotone, so the rings collected always
-  hold the nearest adequate source, or when none exists the nearest
-  inadequate ones: the pick equals that of a scan over every source.
+  candidates (lyapunov_ring_picks states the rule). The search walks hop
+  rings d = 1, 2, ... around the consumer and stops after the first ring
+  holding an adequate source, or, with an inadequate source in hand, when
+  even the largest surplus left times the delivered fraction of the next
+  ring falls short of the demand. The fraction falls with d and float
+  products are monotone, so the rings walked always hold the nearest
+  adequate source, or when none exists the nearest inadequate ones: the
+  pick equals that of a scan over every source.
 * ``radial`` - a two-ring neighborhood search around the consumer.
 * ``random`` - a uniform draw over all current sources.
 
@@ -31,6 +31,7 @@ surplus is spent drops out of the slot.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -39,6 +40,8 @@ from .errors import ConfigError
 
 Shape = tuple[int, int]
 FractionFn = Callable[[int], float]
+# (consumer, d) -> ids of the stations d hops from the consumer
+RingsFn = Callable[[int, int], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,9 @@ class VirtualQueues:
             raise ValueError("queue inputs must be >= 0")
         values = self.values
         for bs_id, delivered in zip(values, delivered_J):
-            values[bs_id] = max(values[bs_id] + delivered - cap_J, 0.0)
+            q = values[bs_id] + delivered - cap_J
+            # max(q, 0.0) returns 0.0 only when 0.0 > q: the same bits, -0.0 and NaN included
+            values[bs_id] = 0.0 if 0.0 > q else q
 
 
 def queue_update(queue_J: float, delivered_J: float, cap_J: float) -> float:
@@ -105,16 +110,6 @@ def p2_score(queue_J: float, consumption_J: float, lam: float, delivered_J: floa
     if lam < 0:
         raise ValueError("control weight must be >= 0")
     return queue_J * consumption_J + lam * delivered_J
-
-
-def deliverable(
-    source: int,
-    available: Mapping[int, float],
-    hops_to: Mapping[int, int],
-    fraction_of: FractionFn,
-) -> float:
-    """Energy the source can land at the consumer: surplus net of route losses."""
-    return available[source] * fraction_of(hops_to[source])
 
 
 def _decision_for(
@@ -138,60 +133,6 @@ def _decision_for(
     )
 
 
-def lyapunov_pick(
-    consumer: int,
-    demand_J: float,
-    available: Mapping[int, float],
-    hops_to: Mapping[int, int],
-    fraction_of: FractionFn,
-    queue_J: float,
-    consumption_J: float,
-    lam: float,
-) -> AllocationDecision | None:
-    """Choose one source for one consumer under the drift-plus-penalty rule.
-
-    The candidates are the sources in hops_to that have surplus left. A
-    source is adequate when its deliverable energy (loss-adjusted, so a
-    pick always restores the full demand) covers the demand. Adequate
-    sources are preferred; among those at the minimum hop count the
-    candidate with the lowest drift-plus-penalty score wins, and exact ties
-    go to the lower id. When no source can cover the demand the nearest
-    inadequate one sends everything it has, flagged as a shortfall.
-    """
-    inf = float("inf")
-    ge_hops = lt_hops = inf
-    ge: list[int] = []
-    lt: list[int] = []
-    for s, h in hops_to.items():
-        if not available[s] > 0.0:
-            continue
-        amount = deliverable(s, available, hops_to, fraction_of)
-        if amount >= demand_J:
-            if h < ge_hops:
-                ge_hops, ge = h, [s]
-            elif h == ge_hops:
-                ge.append(s)
-        elif amount < demand_J:  # a NaN amount joins neither pool
-            if h < lt_hops:
-                lt_hops, lt = h, [s]
-            elif h == lt_hops:
-                lt.append(s)
-    pool, hops = (ge, ge_hops) if ge else (lt, lt_hops)
-    if not pool:
-        return None
-    fraction = fraction_of(hops)
-    best = None
-    best_gross, best_score = 0.0, inf
-    for s in sorted(pool):
-        gross = min(demand_J / fraction, available[s]) if ge else available[s]
-        score = p2_score(queue_J, consumption_J, lam, gross * fraction)
-        if score < best_score:
-            best, best_gross, best_score = s, gross, score
-    if best is None:
-        return None
-    return AllocationDecision(best, consumer, best_gross, fraction, hops, shortfall=not ge)
-
-
 @functools.cache
 def ring_ids(station: int, d: int, shape: Shape) -> tuple[int, ...]:
     """Ids of the stations exactly d hops from station on a row-major lattice.
@@ -210,37 +151,121 @@ def ring_ids(station: int, d: int, shape: Shape) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def ring_sources(
+def lyapunov_ring_picks(
+    rings: RingsFn,
+    hop_values: Sequence[int],
+    fractions: Sequence[float] | Mapping[int, float],
+    queues: Mapping[int, float],
+    consumptions: Mapping[int, float],
+    lam: float,
+) -> PickFn:
+    """The drift-plus-penalty pick, walking each consumer's candidates nearest first.
+
+    rings(consumer, d) gives the station ids d hops from the consumer, for
+    each d of hop_values in ascending order, and fractions[d] the share of
+    sent energy that survives d hops, non-increasing in d. The candidates
+    are the ids in available, which holds only surpluses above zero, as
+    allocate_slot keeps it. A candidate is adequate when its surplus times
+    the fraction covers the demand, so a pick always restores the full
+    demand after route losses. Adequate candidates are preferred; among
+    those at the minimum hop count the one with the lowest
+    drift-plus-penalty score (p2_score) wins, and exact ties go to the
+    lower id. When no candidate is adequate the nearest inadequate ones are
+    scored the same way, and the winner sends everything it has, flagged
+    as a shortfall.
+
+    The walk stops after the first ring holding an adequate candidate, or,
+    with an inadequate one in hand, when the largest surplus in available
+    times the next ring's fraction falls short of the demand: no farther
+    candidate can then be adequate. The pick computes that largest surplus
+    when first needed and keeps it between calls, until a pick draws on a
+    source holding that much; so available may change between calls only
+    by debits of the picked sources, as allocate_slot does.
+    """
+    if lam < 0:
+        raise ValueError("control weight must be >= 0")
+    top: float | None = None
+
+    def pick(consumer: int, demand_J: float, available: Mapping[int, float]) -> AllocationDecision | None:
+        nonlocal top
+        ge: list[int] = []
+        lt: list[int] = []
+        hops = lt_hops = 0
+        for hops in hop_values:
+            fraction = fractions[hops]
+            if lt:
+                if top is None:
+                    top = max(available.values())
+                if top * fraction < demand_J:
+                    break
+            for s in rings(consumer, hops):
+                if s not in available:
+                    continue
+                amount = available[s] * fraction
+                if amount >= demand_J:
+                    ge.append(s)
+                # a NaN amount joins neither pool; only the nearest inadequate ring counts
+                elif amount < demand_J and (not lt or lt_hops == hops):
+                    lt.append(s)
+                    lt_hops = hops
+            if ge:
+                break
+        if ge:
+            pool, shortfall = ge, False
+        elif lt:
+            pool, hops, shortfall = lt, lt_hops, True
+        else:
+            return None
+        fraction = fractions[hops]
+        need = demand_J / fraction
+        drift = queues.get(consumer, 0.0) * consumptions.get(consumer, 0.0)
+        best = None
+        best_gross, best_score = 0.0, math.inf
+        for s in sorted(pool):
+            surplus = available[s]
+            # min(need, surplus) and p2_score's expression, inlined
+            gross = surplus if shortfall or surplus < need else need
+            score = drift + lam * (gross * fraction)
+            if score < best_score:
+                best, best_gross, best_score = s, gross, score
+        if best is None:
+            return None
+        if available[best] == top:
+            top = None
+        return AllocationDecision(best, consumer, best_gross, fraction, hops, shortfall)
+
+    return pick
+
+
+def lyapunov_pick(
     consumer: int,
     demand_J: float,
     available: Mapping[int, float],
-    shape: Shape,
+    hops_to: Mapping[int, int],
     fraction_of: FractionFn,
-) -> dict[int, int]:
-    """Sources in available around the consumer, as {source: hops}.
+    queue_J: float,
+    consumption_J: float,
+    lam: float,
+) -> AllocationDecision | None:
+    """Choose one source for one consumer among the sources in hops_to (see lyapunov_ring_picks).
 
-    Walks rings d = 1, 2, ... outward and stops by the rule in the module
-    docstring, so lyapunov_pick over the result picks what it would pick
-    over every source.
+    hops_to maps each candidate to its hop count, and fraction_of must not
+    increase with it; a candidate with no surplus above zero left is
+    passed over.
     """
-    rows, cols = shape
-    found: dict[int, int] = {}
-    top = None
-    for d in range(1, rows + cols - 1):
-        fraction = fraction_of(d)
-        if found:
-            if top is None:
-                top = max(available.values())
-            if top * fraction < demand_J:
-                break
-        adequate = False
-        for s in ring_ids(consumer, d, shape):
-            if s in available:
-                found[s] = d
-                adequate = adequate or available[s] * fraction >= demand_J
-        if adequate or len(found) == len(available):
-            break
-    return found
+    by_hops: dict[int, list[int]] = {}
+    for s, h in hops_to.items():
+        by_hops.setdefault(h, []).append(s)
+    hop_values = sorted(by_hops)
+    pick = lyapunov_ring_picks(
+        lambda _, h: by_hops[h],
+        hop_values,
+        {h: fraction_of(h) for h in hop_values},
+        {consumer: queue_J},
+        {consumer: consumption_J},
+        lam,
+    )
+    return pick(consumer, demand_J, {s: a for s, a in available.items() if a > 0.0})
 
 
 RADIAL_MAX_RINGS = 2
@@ -295,25 +320,20 @@ def lyapunov_picks(
     shape: Shape, fraction_of: FractionFn, queues: Mapping[int, float],
     consumptions: Mapping[int, float], lam: float, rng: random.Random,
 ) -> PickFn:
-    """Drift-plus-penalty pick over the sources the ring search collects.
+    """Drift-plus-penalty pick over the hop rings around the consumer on the lattice.
 
     consumptions holds the latest known per-station consumption (the
     previous slot's, since the current slot's load is only known at its end).
     """
-
-    def pick(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
-        return lyapunov_pick(
-            consumer,
-            demand_J,
-            available,
-            ring_sources(consumer, demand_J, available, shape, fraction_of),
-            fraction_of,
-            queues.get(consumer, 0.0),
-            consumptions.get(consumer, 0.0),
-            lam,
-        )
-
-    return pick
+    rows, cols = shape
+    return lyapunov_ring_picks(
+        lambda consumer, d: ring_ids(consumer, d, shape),
+        range(1, rows + cols - 1),
+        [fraction_of(d) for d in range(rows + cols - 1)],
+        queues,
+        consumptions,
+        lam,
+    )
 
 
 def radial_picks(

@@ -147,9 +147,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # checked before any run, so a bad list writes no file
     if not policies:
         raise ConfigError("--policies is empty")
-    for policy in policies:
+    for k, policy in enumerate(policies):
         if policy not in allocation.POLICIES:
             raise ConfigError(f"unknown policy {policy!r}; pick one of {allocation.POLICIES}")
+        # each run writes <policy>_*.csv, so a repeat would overwrite the first
+        if policy in policies[:k]:
+            raise ConfigError(f"policy {policy!r} is listed twice in --policies")
     # every run streams its data files; summaries and plot series are written
     # once all runs are done
     results = engine.compare(

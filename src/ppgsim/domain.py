@@ -3,18 +3,19 @@
 All quantities are joules per time slot. Batteries are ideal: no
 charge/discharge or leakage losses, capped at capacity and clamped at zero.
 
-The per-slot rules work on plain floats: ``role_of`` reads a station's
-trading role from its reported level and ``battery_steps`` advances every
-battery by one slot, grid purchase included, in one pass over the
-stations. The engine calls them directly; ``battery_step`` is the same
-pass over one station, and ``classify_role``, ``eb_step_offgrid``,
-``eb_step_ongrid`` and ``grid_purchase`` wrap the rules for callers
-holding an ``EnergyBuffer``.
+The per-slot rules work on plain floats: ``roles_of`` reads every
+station's trading role from its reported level and ``battery_steps``
+advances every battery by one slot, grid purchase included, each in one
+pass over the stations. The engine calls them directly; ``role_of`` and
+``battery_step`` are the same passes over one station, and
+``classify_role``, ``eb_step_offgrid``, ``eb_step_ongrid`` and
+``grid_purchase`` wrap the rules for callers holding an ``EnergyBuffer``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -132,19 +133,50 @@ def bs_consumption(bs: BaseStation, load_fraction: float) -> float:
     return bs.idle_energy_J + load_energy(load_fraction, bs)
 
 
-def role_of(level_J: float, grid_connected: bool, low_J: float, up_J: float) -> tuple[str, float]:
-    """Trading role of a station at this level: (RoleKind value, amount).
+def roles_of(
+    levels_J: Sequence[float],
+    grid_connected: Sequence[bool],
+    capacity_J: float,
+    low_J: float,
+    up_J: float,
+) -> tuple[list[str], list[float], dict[int, float], dict[int, float]]:
+    """Trading role of every station at its reported level, in one pass.
 
-    Levels strictly above the upper threshold are tradeable surplus. An
-    off-grid station strictly below the lower threshold demands the gap.
-    Grid-connected stations are never consumers; they cover deficits by
-    purchasing from the grid. A neutral station's amount is zero.
+    Returns (roles, demand vector, demands, surpluses): each station's
+    RoleKind value, each station's demand (zero unless it is a consumer),
+    and {id: amount} maps of the consumers and of the sources; vectors are
+    indexed by station id. Levels strictly above the upper threshold are
+    tradeable surplus. An off-grid station strictly below the lower
+    threshold demands the gap. Grid-connected stations are never
+    consumers; they cover deficits by purchasing from the grid. A level
+    outside [0, capacity_J], NaN included, raises ValueError naming the
+    station; vectors of different lengths raise ValueError.
     """
-    if level_J > up_J:
-        return "source", level_J - up_J
-    if level_J < low_J and not grid_connected:
-        return "consumer", low_J - level_J
-    return "neutral", 0.0
+    n = len(levels_J)
+    roles = ["neutral"] * n
+    demand = [0.0] * n
+    demands: dict[int, float] = {}
+    surpluses: dict[int, float] = {}
+    for i, (level, on_grid) in enumerate(zip(levels_J, grid_connected, strict=True)):
+        if not (0 <= level <= capacity_J):
+            raise ValueError(f"station {i}: level {level} outside [0, {capacity_J}]")
+        if level > up_J:
+            roles[i] = "source"
+            surpluses[i] = level - up_J
+        elif level < low_J and not on_grid:
+            roles[i] = "consumer"
+            demands[i] = demand[i] = low_J - level
+    return roles, demand, demands, surpluses
+
+
+def role_of(level_J: float, grid_connected: bool, low_J: float, up_J: float) -> tuple[str, float]:
+    """Trading role of one station at this level: (RoleKind value, amount).
+
+    roles_of for one station with no upper bound on the level; see it for
+    the rules. A neutral station's amount is zero.
+    """
+    roles, demand, _, surpluses = roles_of([level_J], [grid_connected], math.inf, low_J, up_J)
+    return roles[0], surpluses.get(0, demand[0])
 
 
 def classify_role(buffer: EnergyBuffer, grid_connected: bool) -> BsRole:

@@ -346,7 +346,6 @@ class Simulation:
         self.fractions = [
             self.loss.delivered_fraction(d) for d in range(config.rows + config.cols - 1)
         ]
-        # one int object per id, shared by every slot's role maps and id lists
         self.ids = list(range(config.n_bs))
         self.positions = {i: divmod(i, config.cols) for i in self.ids}
         self.on_grid = [i in config.on_grid_ids for i in self.ids]
@@ -396,24 +395,13 @@ class Simulation:
         cfg = self.config
         n = cfg.n_bs
         cap, low, up = cfg.beta_max_J, cfg.beta_low_J, cfg.beta_up_J
-        ids, on_grid = self.ids, self.on_grid
+        on_grid = self.on_grid
         levels_start = tuple(self.levels)
 
         # mobility first: the association set is this slot's priority input
         serving = self.fleet.step()
 
-        roles: list[str] = []
-        demands: dict[int, float] = {}
-        surpluses: dict[int, float] = {}
-        for i, level in zip(ids, levels_start):
-            if not (0 <= level <= cap):
-                raise ValueError(f"station {i}: level {level} outside [0, {cap}]")
-            role, amount = domain.role_of(level, on_grid[i], low, up)
-            roles.append(role)
-            if role == "consumer":
-                demands[i] = amount
-            elif role == "source":
-                surpluses[i] = amount
+        roles, demand, demands, surpluses = domain.roles_of(levels_start, on_grid, cap, low, up)
 
         decisions, outage_ids = allocation.allocate_slot(
             cfg.policy,
@@ -439,7 +427,9 @@ class Simulation:
             cfg.phi_max_J,
             cfg.delta_s,
         )
-        flows = outcome.flows(n)
+        flows = [0.0] * n
+        for i, flow in outcome.net_flow_J.items():
+            flows[i] = flow
 
         solar, wind = self.harvest.sample(t)
         harvest_J = ingest.harvest_select(solar, wind, cfg.offpeak_threshold_J)
@@ -467,7 +457,7 @@ class Simulation:
             level_end_J=tuple(self.levels),
             queue_J=queue_snapshot,
             role=tuple(roles),
-            demand_J=tuple(demands.get(i, 0.0) for i in range(n)),
+            demand_J=tuple(demand),
             delivered_J=tuple(delivered),
             gross_out_J=tuple(gross_out),
             flow_J=tuple(flows),
@@ -582,12 +572,11 @@ def metrics_line(row: SlotRow) -> str:
 
 def transfer_line(slot: int, job: TransferJob) -> str:
     d = job.decision
-    route = "|".join(f"{r}:{c}" for r, c in job.route.hops)
     return (
         f"{slot},{job.job_id},{d.source_id},{d.consumer_id},{d.gross_J!r},"
         f"{d.fraction!r},{d.delivered_J!r},{d.hops},{job.mini_slots},"
         f"{job.start_mini_slot},{job.occupancy_s!r},{job.completion_s!r},"
-        f"{job.status},{int(d.shortfall)},{route}"
+        f"{job.status},{int(d.shortfall)},{job.route.text}"
     )
 
 

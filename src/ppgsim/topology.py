@@ -21,6 +21,7 @@ objects; later calls return the same Route.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, LinkBusyError
@@ -117,6 +118,11 @@ class Route:
     @property
     def hop_count(self) -> int:
         return len(self.hops) - 1
+
+    @functools.cached_property
+    def text(self) -> str:
+        """The hops as "r:c|r:c|...", as transfers.csv writes them; built once per route."""
+        return "|".join(f"{r}:{c}" for r, c in self.hops)
 
     def links(self) -> tuple[LinkKey, ...]:
         return tuple(link_key(a, b) for a, b in zip(self.hops, self.hops[1:]))

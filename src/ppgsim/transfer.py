@@ -102,10 +102,6 @@ class TransferOutcome:
     def flow(self, bs_id: int) -> float:
         return self.net_flow_J.get(bs_id, 0.0)
 
-    def flows(self, n: int) -> list[float]:
-        """Net flow of stations 0..n-1, zero for a station no transfer touched."""
-        return [self.net_flow_J.get(i, 0.0) for i in range(n)]
-
 
 def _earliest_start(route: Route, length: int) -> int:
     """First mini-slot index at which every link of the route is free for `length` slots.
@@ -140,29 +136,38 @@ def execute_transfers(
     arrives - but a completion time past deadline_s marks the job overrun.
     """
     outcome = TransferOutcome(slot_index)
+    if not decisions:
+        return outcome
+    # mini_slot_count and link_occupancy, inlined: phi_max_J is checked once
+    if phi_max_J <= 0:
+        raise ConfigError(f"phi_max_J must be positive, got {phi_max_J}")
+    jobs, flows = outcome.jobs, outcome.net_flow_J
     for job_id, decision in enumerate(decisions):
-        delivered = decision.delivered_J
-        route = grid.static_route(positions[decision.source_id], positions[decision.consumer_id])
-        y = mini_slot_count(delivered, phi_max_J)
-        occupancy = link_occupancy(y, mini_slot_duration_s, processing_delay_s)
-        start = _earliest_start(route, y) if y > 0 else 0
-        completion = (start + y) * mini_slot_duration_s + processing_delay_s
+        source, consumer, gross = decision.source_id, decision.consumer_id, decision.gross_J
+        delivered = gross * decision.fraction
+        route = grid.static_route(positions[source], positions[consumer])
+        if delivered < 0:
+            raise ValueError("delivered_J must be >= 0")
+        y = 0 if delivered == 0 else math.ceil(delivered / phi_max_J)
         if y > 0:
+            start = _earliest_start(route, y)
             for link in route.power_links:
                 link.reserve(start, start + y)
-        status = "overrun" if completion > deadline_s else "done"
-        outcome.jobs.append(
+        else:
+            start = 0
+        completion = (start + y) * mini_slot_duration_s + processing_delay_s
+        jobs.append(
             TransferJob(
-                job_id=job_id,
-                decision=decision,
-                route=route,
-                mini_slots=y,
-                start_mini_slot=start,
-                occupancy_s=occupancy,
-                completion_s=completion,
-                status=status,
+                job_id,
+                decision,
+                route,
+                y,
+                start,
+                y * mini_slot_duration_s + processing_delay_s,
+                completion,
+                "overrun" if completion > deadline_s else "done",
             )
         )
-        outcome.net_flow_J[decision.consumer_id] = outcome.flow(decision.consumer_id) + delivered
-        outcome.net_flow_J[decision.source_id] = outcome.flow(decision.source_id) - decision.gross_J
+        flows[consumer] = flows.get(consumer, 0.0) + delivered
+        flows[source] = flows.get(source, 0.0) - gross
     return outcome

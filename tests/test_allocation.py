@@ -1,24 +1,25 @@
 """Allocation policies: source eligibility, drift-plus-penalty, benchmarks."""
 
+import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppgsim import allocation
 from ppgsim.allocation import (
     AllocationDecision,
     VirtualQueues,
     allocate_slot,
     consumer_order,
-    deliverable,
     lyapunov_pick,
     p2_score,
     queue_update,
     radial_allocate,
     random_allocate,
     ring_ids,
-    ring_sources,
     theorem1_report,
 )
 from ppgsim.errors import ConfigError
@@ -27,6 +28,11 @@ from ppgsim.topology import PpgGrid, loss_model_for
 GRID = PpgGrid()
 LOSS = loss_model_for(GRID, 100e3, 5.0)
 FRACTION = LOSS.delivered_fraction
+
+
+def deliverable(source, available, hops_to, fraction_of):
+    """Energy the source can land at the consumer: surplus net of route losses."""
+    return available[source] * fraction_of(hops_to[source])
 
 
 def pick(available, hops_to, demand):
@@ -411,15 +417,143 @@ class TestRingSearch:
     def test_stops_after_first_adequate_ring(self):
         available = {1: 5e3, 10: 50e3, 3: 50e3, 40: 50e3}
         # consumer 0 on a 5x10 lattice: 1 is ring 1, 10 is ring 1, 3 is ring 3
-        assert ring_sources(0, 20e3, available, (5, 10), FRACTION) == {1: 1, 10: 1}
+        walked, decisions = walk(0, 20e3, available, (5, 10))
+        assert walked == [1]
+        assert [d.source_id for d in decisions] == [10]
 
     def test_stops_when_nothing_farther_can_cover(self):
         available = {1: 5e3, 3: 6e3, 49: 7e3}
-        assert ring_sources(0, 20e3, available, (5, 10), FRACTION) == {1: 1}
+        walked, decisions = walk(0, 20e3, available, (5, 10))
+        assert walked == [1]
+        assert [(d.source_id, d.shortfall) for d in decisions] == [(1, True)]
 
     def test_walks_out_to_a_far_adequate_source(self):
         available = {1: 5e3, 49: 50e3}
-        assert ring_sources(0, 20e3, available, (5, 10), FRACTION) == {1: 1, 49: 13}
+        walked, decisions = walk(0, 20e3, available, (5, 10))
+        assert walked == list(range(1, 14))
+        assert [d.source_id for d in decisions] == [49]
+
+
+def walk(consumer, demand_J, surpluses, shape):
+    """Rings the lyapunov pick walked for a lone consumer, and the slot's decisions."""
+    slot = ({consumer: demand_J}, frozenset(), surpluses, shape, {}, {}, 1.0)
+    walked, decisions = walks_and_decisions(slot)
+    return [d for _, d in walked], decisions
+
+
+def walks_and_decisions(slot, slot_max=max):
+    """The (consumer, ring) pairs allocate_slot's lyapunov picks walked, in order, and its decisions.
+
+    slot_max stands in for the builtin max that the pick takes the slot's
+    largest surplus with.
+    """
+    demands, priority, surpluses, shape, queues, consumptions, lam = slot
+    walked = []
+
+    def recording(station, d, shape):
+        walked.append((station, d))
+        return ring_ids(station, d, shape)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allocation, "ring_ids", recording)
+        patch.setattr(allocation, "max", slot_max, raising=False)
+        decisions, _ = allocate_slot(
+            "lyapunov", demands, priority, surpluses, shape, FRACTION, queues, consumptions, lam,
+            random.Random(0),
+        )
+    return walked, decisions
+
+
+# The ring walk as it was before the search and the pick were fused, kept as
+# the oracle of where a walk stops: it takes the largest surplus afresh for
+# every consumer.
+
+
+def oracle_rings(consumer, demand_J, available, shape):
+    rows, cols = shape
+    walked, found, top = [], {}, None
+    for d in range(1, rows + cols - 1):
+        fraction = FRACTION(d)
+        if found:
+            if top is None:
+                top = max(available.values())
+            if top * fraction < demand_J:
+                break
+        walked.append((consumer, d))
+        adequate = False
+        for s in ring_ids(consumer, d, shape):
+            if s in available:
+                found[s] = d
+                adequate = adequate or available[s] * fraction >= demand_J
+        if adequate or len(found) == len(available):
+            break
+    return walked
+
+
+def oracle_walks(slot):
+    """Every ring the slot's consumers walk when each takes the largest surplus afresh."""
+    demands, priority, surpluses, shape, queues, consumptions, lam = slot
+    decisions, _ = oracle_allocate(
+        "lyapunov", demands, priority, surpluses, shape, queues, consumptions, lam, None
+    )
+    picked = {d.consumer_id: d for d in decisions}
+    available = {s: a for s, a in surpluses.items() if a > 0.0}
+    walked = []
+    for consumer in consumer_order(demands, priority):
+        if not available:
+            continue
+        walked += oracle_rings(consumer, demands[consumer], available, shape)
+        d = picked[consumer]
+        left = available[d.source_id] - d.gross_J
+        if left > 0.0:
+            available[d.source_id] = left
+        else:
+            del available[d.source_id]
+    return walked
+
+
+def stale_max():
+    """A planted fault: the slot's first maximum is answered for the rest of the slot."""
+    first = []
+
+    def answer(*args):
+        if len(args) > 1:  # ring_ids' own max(a, b)
+            return max(*args)
+        if not first:
+            first.append(max(*args))
+        return first[0]
+
+    return answer
+
+
+class TestLazyTopSurplus:
+    """The pick keeps the slot's largest surplus between consumers; it must never go stale."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(slots())
+    def test_walks_stop_where_a_fresh_maximum_stops_them(self, slot):
+        walked, _ = walks_and_decisions(slot)
+        assert walked == oracle_walks(slot)
+
+    def test_stale_top_is_caught(self):
+        # consumer 6 drains the big source at 7; consumer 0 then finds the
+        # small one at 3, and only a fresh maximum stops its walk there
+        slot = ({6: 99e3, 0: 20e3}, frozenset({6}), {7: 100e3, 3: 5e3}, (1, 8), {}, {}, 1.0)
+        walked, decisions = walks_and_decisions(slot)
+        assert walked == oracle_walks(slot) == [(6, 1), (0, 1), (0, 2), (0, 3)]
+        stale_walked, stale_decisions = walks_and_decisions(slot, stale_max())
+        # a stale top changes no decision, so only the walk shows it
+        assert stale_decisions == decisions
+        assert stale_walked != oracle_walks(slot)
+        assert stale_walked[-1] == (0, 7)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+# queue inputs that pass every check: signed zeros, infinity and NaN included
+QUEUE_INPUTS = st.floats(0.0, 1e6) | st.sampled_from([0.0, -0.0, 490e3, math.inf, math.nan])
 
 
 class TestVirtualQueues:
@@ -440,6 +574,23 @@ class TestVirtualQueues:
             before = dict(q.values)
             q.advance_all(delivered, cap)
             assert q.values == {i: queue_update(before[i], d, cap) for i, d in enumerate(delivered)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(QUEUE_INPUTS, QUEUE_INPUTS), min_size=1, max_size=12), QUEUE_INPUTS)
+    def test_advance_all_matches_queue_update_bit_for_bit(self, stations, cap):
+        q = VirtualQueues(range(len(stations)))
+        q.values = {i: start for i, (start, _) in enumerate(stations)}
+        q.advance_all([delivered for _, delivered in stations], cap)
+        assert [bits(v) for v in q.values.values()] == [
+            bits(queue_update(start, delivered, cap)) for start, delivered in stations
+        ]
+
+    def test_signed_zero_queue_kept(self):
+        # max(-0.0, 0.0) returns its first argument, so a -0.0 queue stays -0.0
+        q = VirtualQueues([0])
+        q.values[0] = -0.0
+        q.advance_all([-0.0], 0.0)
+        assert bits(q.values[0]) == bits(-0.0) == bits(queue_update(-0.0, -0.0, 0.0))
 
     def test_advance_all_rejects_negative_inputs(self):
         q = VirtualQueues([0, 1])

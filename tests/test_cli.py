@@ -139,6 +139,15 @@ class TestCompareCommand:
         assert "'greedy'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("policies", ["lyapunov,lyapunov", "radial, random ,radial"])
+    def test_repeated_policy_rejected_before_any_run(self, tmp_path, capsys, policies):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--horizon", "30", "--policies", policies, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "listed twice" in err
+        assert policies.split(",")[0].strip() in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("policies", ["", " , "])
     def test_empty_policies_rejected(self, tmp_path, capsys, policies):
         out = tmp_path / "cmp"

@@ -23,6 +23,7 @@ from ppgsim.domain import (
     grid_purchase,
     load_energy,
     role_of,
+    roles_of,
 )
 
 
@@ -228,6 +229,11 @@ class TestRoleOf:
         assert role_of(147e3, False, 147e3, 343e3) == ("neutral", 0.0)
         assert role_of(343e3, False, 147e3, 343e3) == ("neutral", 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_rejects_level_below_zero_or_nan(self, bad):
+        with pytest.raises(ValueError, match="station 0: level"):
+            role_of(bad, False, 147e3, 343e3)
+
 
 CAP, UP = 490e3, 343e3
 
@@ -346,3 +352,87 @@ class TestBatterySteps:
             battery_steps([0.0, 0.0], [0.0, -1.0], [0.0, 0.0], [0.0, 0.0], [True, True], CAP, UP)
         with pytest.raises(ValueError, match="station 0:"):
             battery_steps([0.0], [0.0], [-1.0], [0.0], [False], CAP, UP)
+
+
+LOW = 147e3
+
+
+def engine_roles(levels, on_grid, cap, low, up):
+    """Reference: the engine's per-station role loop before roles_of existed, role_of inlined."""
+    roles, demands, surpluses = [], {}, {}
+    for i, level in enumerate(levels):
+        if not (0 <= level <= cap):
+            raise ValueError(f"station {i}: level {level} outside [0, {cap}]")
+        if level > up:
+            role, amount = "source", level - up
+        elif level < low and not on_grid[i]:
+            role, amount = "consumer", low - level
+        else:
+            role, amount = "neutral", 0.0
+        roles.append(role)
+        if role == "consumer":
+            demands[i] = amount
+        elif role == "source":
+            surpluses[i] = amount
+    return roles, [demands.get(i, 0.0) for i in range(len(levels))], demands, surpluses
+
+
+def float_bits(result):
+    """A roles result with each float as its bytes, so that signed zeros and NaN compare exactly."""
+    roles, demand, demands, surpluses = result
+    return (
+        roles, [bits(v) for v in demand],
+        [(i, bits(v)) for i, v in demands.items()], [(i, bits(v)) for i, v in surpluses.items()],
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return float_bits(fn(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+# levels exactly on and one ulp beside each threshold and bound, plus some
+# outside [0, cap]
+ROLE_LEVELS = (
+    st.sampled_from([
+        0.0, -0.0, LOW, UP, CAP,
+        math.nextafter(LOW, 0.0), math.nextafter(LOW, CAP),
+        math.nextafter(UP, 0.0), math.nextafter(UP, CAP), math.nextafter(0.0, 1.0),
+    ])
+    | st.floats(0.0, CAP)
+)
+BAD_LEVELS = st.sampled_from([math.nan, -1.0, -5e-324, math.nextafter(CAP, math.inf), math.inf])
+
+
+class TestRolesOf:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(ROLE_LEVELS, st.booleans()), max_size=40))
+    def test_matches_per_station_rule(self, stations):
+        levels, on_grid = [s[0] for s in stations], [s[1] for s in stations]
+        got = roles_of(levels, on_grid, CAP, LOW, UP)
+        assert float_bits(got) == float_bits(engine_roles(levels, on_grid, CAP, LOW, UP))
+        roles, demand, _, surpluses = got
+        assert [role_of(level, g, LOW, UP) for level, g in stations] == [
+            (role, surpluses.get(i, demand[i])) for i, role in enumerate(roles)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(ROLE_LEVELS | BAD_LEVELS, st.booleans()), min_size=1, max_size=20)
+    )
+    def test_out_of_range_levels_raise_like_the_loop(self, stations):
+        levels, on_grid = [s[0] for s in stations], [s[1] for s in stations]
+        assert outcome(roles_of, levels, on_grid, CAP, LOW, UP) == outcome(
+            engine_roles, levels, on_grid, CAP, LOW, UP
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.nextafter(CAP, math.inf)])
+    def test_rejects_level_outside_range_naming_station(self, bad):
+        with pytest.raises(ValueError, match="station 2: level"):
+            roles_of([0.0, CAP, bad], [False] * 3, CAP, LOW, UP)
+
+    def test_rejects_vectors_of_different_lengths(self):
+        with pytest.raises(ValueError):
+            roles_of([0.0, 0.0], [False], CAP, LOW, UP)

@@ -1,6 +1,8 @@
 """Transfer execution: mini-slot scheduling, occupancy, and bookkeeping."""
 
 import dataclasses
+import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from ppgsim.errors import ConfigError
 from ppgsim.topology import PpgGrid, loss_model_for
 from ppgsim.transfer import (
     LinkGrant,
+    TransferJob,
+    TransferOutcome,
     _earliest_start,
     execute_transfers,
     link_occupancy,
@@ -266,3 +270,86 @@ class TestDerivedGrants:
             LinkGrant(4, ((0, 1), (0, 2)), 0, 2, 0),
             LinkGrant(4, ((0, 1), (0, 2)), 2, 3, 1),
         ]
+
+
+def oracle_execute_transfers(
+    decisions, grid, positions, slot_index, mini_slot_duration_s, processing_delay_s, phi_max_J, deadline_s
+):
+    """execute_transfers as it was before its per-job arithmetic was inlined, kept as the oracle."""
+    outcome = TransferOutcome(slot_index)
+    for job_id, decision in enumerate(decisions):
+        delivered = decision.delivered_J
+        route = grid.static_route(positions[decision.source_id], positions[decision.consumer_id])
+        y = mini_slot_count(delivered, phi_max_J)
+        occupancy = link_occupancy(y, mini_slot_duration_s, processing_delay_s)
+        start = _earliest_start(route, y) if y > 0 else 0
+        completion = (start + y) * mini_slot_duration_s + processing_delay_s
+        if y > 0:
+            for link in route.power_links:
+                link.reserve(start, start + y)
+        status = "overrun" if completion > deadline_s else "done"
+        outcome.jobs.append(
+            TransferJob(
+                job_id=job_id, decision=decision, route=route, mini_slots=y, start_mini_slot=start,
+                occupancy_s=occupancy, completion_s=completion, status=status,
+            )
+        )
+        outcome.net_flow_J[decision.consumer_id] = outcome.flow(decision.consumer_id) + delivered
+        outcome.net_flow_J[decision.source_id] = outcome.flow(decision.source_id) - decision.gross_J
+    return outcome
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+@st.composite
+def transfer_slots(draw):
+    """One slot's decisions on a small grid, with link capacities that make jobs contend."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    n = rows * cols
+    decisions = []
+    for _ in range(draw(st.integers(0, 12))):
+        source = draw(st.integers(0, n - 1))
+        consumer = draw(st.integers(0, n - 1).filter(lambda c: c != source))
+        hops = abs(source // cols - consumer // cols) + abs(source % cols - consumer % cols)
+        # 5e-324 times a fraction of at most 0.5 lands 0.0: a zero-length job
+        gross = draw(st.sampled_from([5e-324, 50e3, 100e3]) | st.floats(1e-3, 600e3))
+        fraction = draw(st.just(FRACTION(hops)) | st.floats(0.0, 1.0, exclude_min=True))
+        decisions.append(AllocationDecision(source, consumer, gross, fraction, hops))
+    phi_max_J = draw(st.sampled_from([0.0, 5e3, 40e3, 100e3, math.inf]))
+    timing = draw(st.sampled_from([(5.0, 2.0, 60.0), (5.0, 0.0, 30.0), (2.5, 1.0, 20.0)]))
+    return rows, cols, decisions, phi_max_J, timing
+
+
+def executed(fn, rows, cols, decisions, phi_max_J, timing):
+    """One implementation's jobs, flows (floats as bytes) and link calendars, or its error."""
+    grid = PpgGrid(rows=rows, cols=cols)
+    positions = {i: divmod(i, cols) for i in range(rows * cols)}
+    mini_slot_s, xi_s, delta_s = timing
+    try:
+        outcome = fn(decisions, grid, positions, 3, mini_slot_s, xi_s, phi_max_J, delta_s)
+    except (ConfigError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    jobs = [
+        (job.job_id, job.decision, job.route, job.mini_slots, job.start_mini_slot,
+         bits(job.occupancy_s), bits(job.completion_s), job.status)
+        for job in outcome.jobs
+    ]
+    flows = [(i, bits(v)) for i, v in outcome.net_flow_J.items()]
+    calendars = [(key, link.reservations) for key, link in grid.links.items()]
+    return outcome.slot, jobs, flows, calendars, outcome.grants
+
+
+class TestMatchesPerJobOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(transfer_slots())
+    def test_same_jobs_flows_and_calendars(self, slot):
+        assert executed(execute_transfers, *slot) == executed(oracle_execute_transfers, *slot)
+
+    def test_bad_capacity_rejected_once_there_is_a_job(self):
+        decision = AllocationDecision(0, 1, 10e3, FRACTION(1), 1)
+        positions = {0: (0, 0), 1: (0, 1)}
+        assert execute_transfers([], PpgGrid(), positions, 0, 5.0, 2.0, 0.0, 60.0).jobs == []
+        with pytest.raises(ConfigError, match="phi_max_J must be positive"):
+            execute_transfers([decision], PpgGrid(), positions, 0, 5.0, 2.0, 0.0, 60.0)
