@@ -3,7 +3,16 @@ base stations connected by a power packet grid."""
 
 from .allocation import AllocationDecision, TheoremDiagnostic, VirtualQueues
 from .domain import BaseStation, BsRole, EnergyBuffer, RoleKind, SimClock
-from .engine import RunResult, RunSummary, SimConfig, Simulation, compare, run, sweep_lambda
+from .engine import (
+    RunResult,
+    RunSummary,
+    SimConfig,
+    Simulation,
+    compare,
+    run,
+    run_variants,
+    sweep_lambda,
+)
 from .errors import ConfigError, LinkBusyError, TraceFormatError
 from .ingest import HarvestTraceSet, LoadProfileSet
 from .topology import LossModel, PpgGrid, Route
@@ -35,6 +44,7 @@ __all__ = [
     "VirtualQueues",
     "compare",
     "run",
+    "run_variants",
     "sweep_lambda",
     "__version__",
 ]

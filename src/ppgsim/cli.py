@@ -32,9 +32,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_config_file(path: str | Path) -> SimConfig:
-    """Parse a key = value scenario file into a validated SimConfig."""
+    """Parse a key = value scenario file into a validated SimConfig.
+
+    A run's summary.txt is a scenario file too: when the file has config.*
+    lines, only those are read (see config_from_summary).
+    """
+    lines = Path(path).read_text().splitlines()
+    if any(line.startswith("config.") for line in lines):
+        return config_from_summary(path)
     items: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -326,8 +326,12 @@ class Simulation:
         config: SimConfig,
         profiles: LoadProfileSet | None = None,
         harvest: HarvestTraceSet | None = None,
+        serving_log: list[frozenset[int]] | None = None,
     ) -> None:
         self.config = config
+        # slot t's serving set: read from the log once it holds t, else the
+        # fleet steps and appends it (see run_variants)
+        self.serving_log = serving_log
         if profiles is None or harvest is None:
             built_profiles, built_harvest = build_traces(config)
             profiles = profiles or built_profiles
@@ -399,7 +403,13 @@ class Simulation:
         levels_start = tuple(self.levels)
 
         # mobility first: the association set is this slot's priority input
-        serving = self.fleet.step()
+        log = self.serving_log
+        if log is None or t == len(log):
+            serving = self.fleet.step()
+            if log is not None:
+                log.append(serving)
+        else:
+            serving = log[t]
 
         roles, demand, demands, surpluses = domain.roles_of(levels_start, on_grid, cap, low, up)
 
@@ -482,6 +492,10 @@ class Simulation:
         if sink is None:
             sink = ResultSink(self.config, collect_trajectories)
         fleet, dump = self.fleet, sink.trajectories
+        if dump and self.serving_log:
+            raise ValueError(
+                "a run that replays a serving log cannot dump trajectories: its fleet never moves"
+            )
         for t in range(self.config.horizon_slots):
             metrics, outcome = self.step(t)
             sink.slot(metrics, outcome.jobs, fleet.trajectory_rows(t) if dump else ())
@@ -506,26 +520,52 @@ def run(
     return sim.run(collect_trajectories, sink_for(config) if sink_for else None)
 
 
+# the only fields a variant may change: the traces and the mobility that
+# run_variants shares are built from every other field
+_VARIANT_KEYS = ("policy", "lam")
+
+
+def run_variants(
+    config: SimConfig, overrides: Sequence[Mapping[str, object]], sink_for: SinkFactory | None = None
+) -> list[tuple[Mapping[str, object], object]]:
+    """Run config once per override mapping, one after another, over shared inputs.
+
+    Every variant reads the same traces, and the same per-slot serving
+    sets: the first variant's fleet steps and fills the log, and every
+    later variant reads it instead of stepping its own. Returns
+    (override, result) pairs in order; each result is a RunResult, or what
+    the sink built by sink_for(variant config) returns.
+    """
+    for override in overrides:
+        for key in override:
+            if key not in _VARIANT_KEYS:
+                raise ConfigError(
+                    f"run_variants cannot vary {key!r}: variants share traces and mobility, "
+                    f"so only {', '.join(_VARIANT_KEYS)} may differ"
+                )
+    # every variant config is validated before the first run
+    configs = [dataclasses.replace(config, **override) for override in overrides]
+    profiles, harvest = build_traces(config)
+    serving_log: list[frozenset[int]] = []
+    out = []
+    for override, cfg in zip(overrides, configs):
+        sim = Simulation(cfg, profiles, harvest, serving_log)
+        out.append((override, sim.run(sink=sink_for(cfg) if sink_for else None)))
+    return out
+
+
 def compare(config: SimConfig, policies: Sequence[str], sink_for: SinkFactory | None = None) -> dict:
     """Run several policies against identical traces, mobility and seed."""
-    profiles, harvest = build_traces(config)
-    results = {}
-    for policy in policies:
-        cfg = dataclasses.replace(config, policy=policy)
-        results[policy] = run(cfg, profiles, harvest, sink_for=sink_for)
-    return results
+    variants = run_variants(config, [{"policy": policy} for policy in policies], sink_for)
+    return {override["policy"]: result for override, result in variants}
 
 
 def sweep_lambda(
     config: SimConfig, values: Sequence[float], sink_for: SinkFactory | None = None
 ) -> list[tuple[float, object]]:
-    """Run the configured policy once per control-weight value, same traces."""
-    profiles, harvest = build_traces(config)
-    out = []
-    for lam in values:
-        cfg = dataclasses.replace(config, lam=lam)
-        out.append((lam, run(cfg, profiles, harvest, sink_for=sink_for)))
-    return out
+    """Run the configured policy once per control-weight value, same traces and mobility."""
+    variants = run_variants(config, [{"lam": lam} for lam in values], sink_for)
+    return [(override["lam"], result) for override, result in variants]
 
 
 def coverage_pct(demand_J: float, delivered_J: float) -> float:

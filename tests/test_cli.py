@@ -72,6 +72,20 @@ class TestRunCommand:
         rebuilt = config_from_summary(tmp_path / "out" / "summary.txt")
         assert rebuilt == parse_config_file(cfg_path)
 
+    def test_summary_replays_the_run(self, tmp_path):
+        # the first run's overrides reach the replay only through summary.txt
+        cfg_path = write_config(tmp_path, horizon_slots=30, initial_fill_fraction=0.05)
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        overrides = ["--policy", "radial", "--lambda", "0.6", "--seed", "3"]
+        argv = ["run", "--dump-trajectories", "--config"]
+        assert main([*argv, str(cfg_path), *overrides, "--out", str(first)]) == EXIT_OK
+        assert main([*argv, str(first / "summary.txt"), "--out", str(replay)]) == EXIT_OK
+        written = sorted(p.name for p in first.iterdir())
+        assert written == ["metrics.csv", "summary.txt", "trajectories.csv", "transfers.csv"]
+        assert len((first / "transfers.csv").read_text().splitlines()) > 1
+        for name in written:
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
+
     def test_overrides_apply(self, tmp_path):
         cfg_path = write_config(tmp_path, horizon_slots=10)
         rc = main([

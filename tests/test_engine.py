@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppgsim import cli, domain, engine, ingest
+from ppgsim import cli, domain, engine, ingest, mobility
 from ppgsim.engine import (
     SimConfig,
     Simulation,
@@ -18,6 +18,7 @@ from ppgsim.engine import (
     demand_coverage_pct,
     metrics_rows,
     run,
+    run_variants,
     summary_rows,
     sweep_lambda,
     transfer_rows,
@@ -325,6 +326,51 @@ class TestCompareAndSweep:
 
     def test_coverage_on_empty_demand_is_full(self):
         assert demand_coverage_pct([]) == 100.0
+
+
+class TestRunVariants:
+    def test_results_follow_the_overrides(self):
+        cfg = SimConfig(horizon_slots=5)
+        overrides = [{"policy": "radial"}, {"lam": 0.5}, {"policy": "random", "lam": 2.0}, {}]
+        variants = run_variants(cfg, overrides)
+        assert [override for override, _ in variants] == overrides
+        assert [(r.config.policy, r.config.lam) for _, r in variants] == [
+            ("radial", 1.0), ("lyapunov", 0.5), ("random", 2.0), ("lyapunov", 1.0),
+        ]
+
+    def test_fleet_steps_once_per_slot_across_variants(self, monkeypatch):
+        calls = []
+        original = mobility.Fleet.step
+
+        def counted(fleet):
+            calls.append(fleet)
+            return original(fleet)
+
+        monkeypatch.setattr(mobility.Fleet, "step", counted)
+        compare(SimConfig(horizon_slots=7), ["lyapunov", "radial", "random"])
+        assert len(calls) == 7
+        assert len(set(map(id, calls))) == 1
+
+    @pytest.mark.parametrize("key", ["seed", "horizon_slots", "n_vue_groups", "profiles_path"])
+    def test_rejects_a_key_the_variants_would_not_share(self, key, monkeypatch):
+        steps = []
+        monkeypatch.setattr(Simulation, "run", lambda *args, **kwargs: steps.append(args))
+        overrides = [{"policy": "radial"}, {key: getattr(SimConfig(), key)}]
+        with pytest.raises(ConfigError, match=f"cannot vary '{key}'"):
+            run_variants(SimConfig(horizon_slots=3), overrides)
+        assert steps == []
+
+    def test_replaying_variant_refuses_trajectories(self):
+        cfg = SimConfig(horizon_slots=4)
+
+        def sink_for(config):
+            return engine.ResultSink(config, trajectories=True)
+
+        # the first variant steps its own fleet, so it can dump positions
+        (_, alone), = run_variants(cfg, [{}], sink_for)
+        assert alone.trajectories == run(cfg, collect_trajectories=True).trajectories
+        with pytest.raises(ValueError, match="cannot dump trajectories"):
+            run_variants(cfg, [{"policy": "lyapunov"}, {"policy": "radial"}], sink_for)
 
 
 class TestOutputs:

@@ -13,6 +13,7 @@ import gc
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,61 @@ def test_small_configs_stream_the_bytes_of_stored_runs(config, hourly):
         assert streamed == stored_sweep_files(
             engine.sweep_lambda(config, [0.0, 0.5, 2.0]), tmp / "sweep_stored"
         )
+
+
+def fresh_serving_sets(config: SimConfig, slots: int) -> list[frozenset[int]]:
+    """The serving sets of a new fleet stepped slot by slot, outside any run."""
+    fleet = engine.Simulation(config).fleet
+    return [fleet.step() for _ in range(slots)]
+
+
+def serving_logs_of(call):
+    """Run call() and return the serving log that each Simulation.run of it replayed or filled."""
+    logs = []
+    real_run = engine.Simulation.run
+
+    def spy(sim, *args, **kwargs):
+        logs.append(sim.serving_log)
+        return real_run(sim, *args, **kwargs)
+
+    with mock.patch.object(engine.Simulation, "run", spy):
+        return call(), logs
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(config=small_configs())
+@example(config=TRADING)
+def test_shared_variants_write_the_bytes_of_separate_runs(config):
+    # compare and sweep_lambda share one serving log across their variants;
+    # engine.run steps its own fleet, so it is an oracle outside that path
+    lambdas = [0.0, 0.5, 2.0]
+    results, compare_logs = serving_logs_of(lambda: engine.compare(config, allocation.POLICIES))
+    sweep, sweep_logs = serving_logs_of(lambda: engine.sweep_lambda(config, lambdas))
+    assert (len(compare_logs), len(sweep_logs)) == (len(allocation.POLICIES), len(lambdas))
+    for logs in (compare_logs, sweep_logs):
+        assert all(log is logs[0] for log in logs)
+        assert logs[0] == fresh_serving_sets(config, config.horizon_slots)
+    variants = [
+        *((f"policy_{p}", {"policy": p}, result) for p, result in results.items()),
+        *((f"lam_{k}", {"lam": lam}, result) for k, (lam, result) in enumerate(sweep)),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for prefix, override, result in variants:
+            engine.write_outputs(result, tmp / "shared", prefix)
+            alone = engine.run(dataclasses.replace(config, **override))
+            engine.write_outputs(alone, tmp / "alone", prefix)
+        assert files(tmp / "shared") == files(tmp / "alone")
+
+
+def test_a_log_one_slot_ahead_is_caught():
+    # the two checks above fail when the replayed log runs one slot ahead
+    log = fresh_serving_sets(TRADING, TRADING.horizon_slots + 1)
+    ahead = log[1:]
+    assert ahead != log[:-1]
+    profiles, harvest = engine.build_traces(TRADING)
+    replayed = engine.Simulation(TRADING, profiles, harvest, ahead).run()
+    assert engine.metrics_rows(replayed) != engine.metrics_rows(engine.run(TRADING))
 
 
 class TestMemory:
