@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError
+from .numeric import left_sum
 
 Shape = tuple[int, int]
 FractionFn = Callable[[int], float]
@@ -395,11 +396,16 @@ def allocate_slot(
     shape is the (rows, cols) of the row-major station lattice. A source is
     dropped once its surplus is spent, so a consumer that finds none left is
     an outage without a search. Returns the decision list plus the ids of
-    consumers no source could serve at all.
+    consumers no source could serve at all; a slot without consumers
+    returns ([], []) and draws nothing from rng.
     """
     if policy not in PICKS:
         raise ConfigError(f"unknown policy {policy!r}; pick one of {POLICIES}")
     pick = PICKS[policy](shape, fraction_of, queues, consumptions, lam, rng)
+    # a slot without consumers: the pick is built first, so a bad argument
+    # (a negative lam) still raises
+    if not demands:
+        return [], []
     available = {s: a for s, a in surpluses.items() if a > 0.0}
     decisions: list[AllocationDecision] = []
     outages: list[int] = []
@@ -451,8 +457,8 @@ def theorem1_report(
     if not delivered_per_slot:
         raise ValueError("need at least one slot of history")
     return theorem1_diagnostic(
-        sum(delivered_per_slot) / len(delivered_per_slot),
-        (sum(history) / len(history) for history in queue_histories.values() if history),
+        left_sum(delivered_per_slot) / len(delivered_per_slot),
+        (left_sum(history) / len(history) for history in queue_histories.values() if history),
         lam,
         cap_J,
         0.0 if target_value is None else target_value,
@@ -472,7 +478,7 @@ def theorem1_diagnostic(
             lhs=mean_delivered_J, rhs=float("nan"), target_value=target_value, lam=lam,
             satisfied=False, skipped=True, note="control weight is zero; bound undefined",
         )
-    rhs = target_value + (sum(mean_queues_J) - cap_J) ** 2 / (2.0 * lam)
+    rhs = target_value + (left_sum(mean_queues_J) - cap_J) ** 2 / (2.0 * lam)
     return TheoremDiagnostic(
         lhs=mean_delivered_J, rhs=rhs, target_value=target_value, lam=lam,
         satisfied=mean_delivered_J <= rhs,

@@ -17,6 +17,7 @@ from typing import Sequence
 from . import allocation, engine, ingest
 from .engine import RunResult, RunSummary, SimConfig
 from .errors import ConfigError, TraceFormatError
+from .numeric import left_sum
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -100,7 +101,7 @@ def emit_plot_data(
     def bucket(series: list[float]) -> list[float]:
         if not hourly:
             return series
-        return [sum(series[i : i + 60]) for i in range(0, len(series), 60)]
+        return [left_sum(series[i : i + 60]) for i in range(0, len(series), 60)]
 
     written = []
     first = next(iter(results.values()), None)
@@ -151,15 +152,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    # checked before any run, so a bad list writes no file
+    # compare rejects an unknown or repeated policy before any run, so a bad
+    # list writes no file
     if not policies:
         raise ConfigError("--policies is empty")
-    for k, policy in enumerate(policies):
-        if policy not in allocation.POLICIES:
-            raise ConfigError(f"unknown policy {policy!r}; pick one of {allocation.POLICIES}")
-        # each run writes <policy>_*.csv, so a repeat would overwrite the first
-        if policy in policies[:k]:
-            raise ConfigError(f"policy {policy!r} is listed twice in --policies")
     # every run streams its data files; summaries and plot series are written
     # once all runs are done
     results = engine.compare(

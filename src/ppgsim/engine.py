@@ -34,6 +34,7 @@ from .allocation import TheoremDiagnostic, VirtualQueues
 from .domain import SimClock
 from .errors import ConfigError
 from .ingest import HarvestTraceSet, LoadProfileSet
+from .numeric import left_sum
 from .topology import LossModel, PpgGrid
 from .transfer import LinkGrant, TransferJob
 
@@ -231,19 +232,19 @@ class SlotMetrics:
 
     @property
     def total_demand_J(self) -> float:
-        return sum(self.demand_J)
+        return left_sum(self.demand_J)
 
     @property
     def total_delivered_J(self) -> float:
-        return sum(self.delivered_J)
+        return left_sum(self.delivered_J)
 
     @property
     def total_flow_J(self) -> float:
-        return sum(self.flow_J)
+        return left_sum(self.flow_J)
 
     @property
     def total_purchase_J(self) -> float:
-        return sum(self.purchase_J)
+        return left_sum(self.purchase_J)
 
 
 TrajectoryRow = tuple[int, int, float, float, int]
@@ -363,11 +364,8 @@ class Simulation:
                         f"load profile cluster {k}, slot {slot}: "
                         f"load_fraction must be in [0, 1], got {value}"
                     )
-        # consumption = idle + profile value * peak load, from (idle, row, peak) per station
-        self.consumption_terms = [
-            (config.idle_energy_J, profiles.clusters[profiles.assignment[i]], config.max_load_energy_J)
-            for i in self.ids
-        ]
+        # each station's load cluster: consumption is computed once per cluster
+        self.cluster_of = [profiles.assignment[i] for i in self.ids]
         self.queues = VirtualQueues(range(config.n_bs))
         self.prev_consumption: dict[int, float] = dict.fromkeys(range(config.n_bs), 0.0)
         jitter_rng = random.Random(derive_seed(config.seed, _SEED_JITTER))
@@ -445,7 +443,9 @@ class Simulation:
         harvest_J = ingest.harvest_select(solar, wind, cfg.offpeak_threshold_J)
         harvested = [j * harvest_J for j in self.jitter]
         k = t % self.slots_per_day
-        consumption = [idle + row[k] * peak for idle, row, peak in self.consumption_terms]
+        idle, peak = cfg.idle_energy_J, cfg.max_load_energy_J
+        cluster_load = [idle + row[k] * peak for row in self.profiles.clusters]
+        consumption = [cluster_load[c] for c in self.cluster_of]
 
         self.levels, purchases, clamped, capped = domain.battery_steps(
             levels_start, harvested, consumption, flows, on_grid, cap, up
@@ -555,7 +555,14 @@ def run_variants(
 
 
 def compare(config: SimConfig, policies: Sequence[str], sink_for: SinkFactory | None = None) -> dict:
-    """Run several policies against identical traces, mobility and seed."""
+    """Run several policies against identical traces, mobility and seed.
+
+    Results are keyed by policy, so a repeated policy raises ConfigError
+    before any run.
+    """
+    for k, policy in enumerate(policies):
+        if policy in policies[:k]:
+            raise ConfigError(f"policy {policy!r} is listed twice; compare runs each policy once")
     variants = run_variants(config, [{"policy": policy} for policy in policies], sink_for)
     return {override["policy"]: result for override, result in variants}
 
@@ -578,7 +585,7 @@ def coverage_pct(demand_J: float, delivered_J: float) -> float:
 def demand_coverage_pct(slots: Sequence[SlotMetrics]) -> float:
     """Delivered energy as a percentage of demand over the whole run."""
     return coverage_pct(
-        sum(m.total_demand_J for m in slots), sum(m.total_delivered_J for m in slots)
+        left_sum(m.total_demand_J for m in slots), left_sum(m.total_delivered_J for m in slots)
     )
 
 
@@ -628,8 +635,8 @@ def trajectory_line(row: TrajectoryRow) -> str:
 class SummaryAccumulator:
     """A run's summary totals, fed one slot at a time in slot order.
 
-    Each total starts from the int 0 and adds one slot's value, as the
-    builtin sum does over a stored list, and each minimum replaces the
+    Each total starts from the int 0 and adds one slot's value, as
+    left_sum does over a stored list, and each minimum replaces the
     running one only when strictly lower, as min does, so the summary of a
     streamed run equals that of the stored run bit for bit. The restored
     level of a station is its level plus the energy delivered to it that
@@ -653,11 +660,11 @@ class SummaryAccumulator:
         """Fold one slot into the totals and return its metrics row."""
         demand = m.total_demand_J
         delivered = m.total_delivered_J
-        negative = sum((f for f in m.flow_J if f < 0.0), 0.0)
+        negative = left_sum((f for f in m.flow_J if f < 0.0), 0.0)
         purchase = m.total_purchase_J
-        harvest = sum(m.harvest_J)
-        consumption = sum(m.consumption_J)
-        level = sum(m.level_J)
+        harvest = left_sum(m.harvest_J)
+        consumption = left_sum(m.consumption_J)
+        level = left_sum(m.level_J)
         min_level = min_restored = 0.0
         if self.offgrid:
             levels, received = m.level_J, m.delivered_J
@@ -686,7 +693,7 @@ class SummaryAccumulator:
             m.slot, m.role.count("source"), m.role.count("consumer"),
             demand, delivered, -negative, m.total_flow_J, purchase, harvest, consumption,
             len(m.outage_ids), len(m.shortfall_ids), m.n_overruns, len(m.association),
-            min_level, min_restored, level / self.config.n_bs, sum(m.queue_J),
+            min_level, min_restored, level / self.config.n_bs, left_sum(m.queue_J),
         )
 
     def theorem(self) -> TheoremDiagnostic | None:

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, TraceFormatError
+from .numeric import left_sum
 
 PROFILE_HEADER = "slot,cluster0,cluster1,cluster2,cluster3"
 HARVEST_HEADER = "timestamp_s,solar,wind"
@@ -165,7 +166,7 @@ def samples_per_slot(timestamps_s: Sequence[float], tau_s: float) -> int:
 def window_sums(values: Sequence[float], per_window: int) -> list[float]:
     """Sum consecutive runs of per_window values; a trailing partial run is dropped."""
     return [
-        sum(values[w * per_window : (w + 1) * per_window])
+        left_sum(values[w * per_window : (w + 1) * per_window])
         for w in range(len(values) // per_window)
     ]
 

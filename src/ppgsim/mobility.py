@@ -110,18 +110,30 @@ def _row_terms(y_m: float, rows: int, cols: int, spacing_m: float) -> tuple[int,
 def _nearest(
     x_m: float, row_terms: tuple[int, int, float, float], cols: int, spacing_m: float
 ) -> int:
-    """Id of the station nearest to x on the rows given by _row_terms (see nearest_bs)."""
+    """Id of the station nearest to x on the rows given by _row_terms (see nearest_bs).
+
+    The four candidates are compared in ascending id order and a later one
+    replaces the best only when strictly nearer, so the lowest id wins ties.
+    """
     b0, b1, dy0, dy1 = row_terms
-    c0 = min(max(math.floor(x_m / spacing_m), 0), cols - 1)
-    c1 = min(c0 + 1, cols - 1)
+    c0 = math.floor(x_m / spacing_m)
+    if c0 < 0:
+        c0 = 0
+    elif c0 >= cols:
+        c0 = cols - 1
+    c1 = c0 + 1 if c0 + 1 < cols else c0
     dx0 = (c0 * spacing_m - x_m) ** 2
     dx1 = (c1 * spacing_m - x_m) ** 2
-    return min(
-        (dx0 + dy0, b0 + c0),
-        (dx1 + dy0, b0 + c1),
-        (dx0 + dy1, b1 + c0),
-        (dx1 + dy1, b1 + c1),
-    )[1]
+    best, best_id = dx0 + dy0, b0 + c0
+    d = dx1 + dy0
+    if d < best:
+        best, best_id = d, b0 + c1
+    d = dx0 + dy1
+    if d < best:
+        best, best_id = d, b1 + c0
+    if dx1 + dy1 < best:
+        best_id = b1 + c1
+    return best_id
 
 
 def rpgm_step(group: VueGroup, tau_s: float, world_length_m: float) -> VueGroup:

@@ -245,6 +245,24 @@ class TestSlotDrivers:
         with pytest.raises(ConfigError, match="'greedy'"):
             allocate_slot("greedy", {}, frozenset(), {}, (1, 2), FRACTION, {}, {}, 1.0, random.Random(1))
 
+    @pytest.mark.parametrize("policy", allocation.POLICIES)
+    def test_quiet_slot_returns_nothing_and_draws_nothing(self, policy):
+        # sources with surplus and served stations, but no consumer
+        rng = random.Random(5)
+        state = rng.getstate()
+        surpluses = {0: 50_000.0, 7: 20_000.0, 23: 1.0}
+        result = allocate_slot(
+            policy, {}, frozenset({0, 7}), surpluses, (4, 6), FRACTION, {}, {}, 1.0, rng
+        )
+        assert result == ([], [])
+        assert rng.getstate() == state
+
+    def test_quiet_slot_still_rejects_a_negative_weight(self):
+        with pytest.raises(ValueError, match="control weight"):
+            allocate_slot(
+                "lyapunov", {}, frozenset(), {0: 1.0}, (4, 6), FRACTION, {}, {}, -1.0, random.Random(1)
+            )
+
 
 # The sort-based slot drivers that the ring search replaced, kept as the
 # oracle: every source's hop count is computed, sources are sorted by

@@ -324,6 +324,14 @@ class TestCompareAndSweep:
         totals = [r.summary["total_delivered_J"] for _, r in sweep]
         assert totals[0] == totals[1]
 
+    @pytest.mark.parametrize("policies", [["radial", "radial"], ["lyapunov", "random", "lyapunov"]])
+    def test_repeated_policy_rejected_before_any_run(self, policies, monkeypatch):
+        runs = []
+        monkeypatch.setattr(Simulation, "run", lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(ConfigError, match=f"policy '{policies[0]}' is listed twice"):
+            compare(SimConfig(horizon_slots=3), policies)
+        assert runs == []
+
     def test_coverage_on_empty_demand_is_full(self):
         assert demand_coverage_pct([]) == 100.0
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from ppgsim.mobility import (
     Fleet,
     VueGroup,
+    _nearest,
+    _row_terms,
     association_set,
     bs_world_positions,
     make_groups,
@@ -36,6 +38,21 @@ def scan_nearest(x_m, y_m, bs_xy):
             best_d = d
             best_id = bs_id
     return best_id
+
+
+def tuple_min_nearest(x_m, row_terms, cols, spacing_m):
+    """Reference: the lookup as a min over four (distance, id) pairs, which breaks ties by id."""
+    b0, b1, dy0, dy1 = row_terms
+    c0 = min(max(math.floor(x_m / spacing_m), 0), cols - 1)
+    c1 = min(c0 + 1, cols - 1)
+    dx0 = (c0 * spacing_m - x_m) ** 2
+    dx1 = (c1 * spacing_m - x_m) ** 2
+    return min(
+        (dx0 + dy0, b0 + c0),
+        (dx1 + dy0, b0 + c1),
+        (dx0 + dy1, b1 + c0),
+        (dx1 + dy1, b1 + c1),
+    )[1]
 
 
 class TestStepping:
@@ -102,6 +119,21 @@ def lattice_points(draw):
     return rows, cols, spacing, coordinate(cols), coordinate(rows)
 
 
+@st.composite
+def far_points(draw):
+    """A lattice and a point far beyond its ends, next to a midline between two rows.
+
+    Far out the squared x distance swamps the y distances, so sums for the
+    two rows often round to the same float and only the id order decides.
+    """
+    rows = draw(st.integers(2, 6))
+    cols = draw(st.integers(1, 9))
+    spacing = draw(st.sampled_from([1.0, 500.0, 0.7]))
+    x = draw(st.floats(-1e4, 1e4)) * spacing
+    y = (draw(st.integers(0, rows - 2)) + 0.5 + draw(st.floats(-1e-6, 1e-6))) * spacing
+    return rows, cols, spacing, x, y
+
+
 class TestAssociation:
     def test_exact_position_wins(self):
         assert nearest_bs(1000.0, 500.0, 4, 6, 500.0) == 8  # (1, 2) -> id 8
@@ -117,6 +149,22 @@ class TestAssociation:
         rows, cols, spacing, x, y = case
         expected = scan_nearest(x, y, bs_world_positions(rows, cols, spacing))
         assert nearest_bs(x, y, rows, cols, spacing) == expected
+
+    def test_sums_that_round_equal_go_to_the_lower_id(self):
+        # row 1 is nearer in y, but with dx = 4499^2 both sums round to the
+        # same float, so station 1 (row 0) beats station 3 (row 1)
+        x, y = 4500.0, 0.5 + 1e-9
+        assert (0.0 - y) ** 2 != (1.0 - y) ** 2
+        assert (1.0 - x) ** 2 + (0.0 - y) ** 2 == (1.0 - x) ** 2 + (1.0 - y) ** 2
+        assert nearest_bs(x, y, 2, 2, 1.0) == 1
+        assert scan_nearest(x, y, bs_world_positions(2, 2, 1.0)) == 1
+
+    @settings(max_examples=500, deadline=None)
+    @given(lattice_points() | far_points())
+    def test_matches_tuple_min(self, case):
+        rows, cols, spacing, x, y = case
+        terms = _row_terms(y, rows, cols, spacing)
+        assert _nearest(x, terms, cols, spacing) == tuple_min_nearest(x, terms, cols, spacing)
 
     def test_single_row_and_single_column(self):
         for rows, cols in ((1, 7), (7, 1)):
