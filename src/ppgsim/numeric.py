@@ -9,21 +9,12 @@ the same run writes the same bytes on 3.10 through 3.13.
 
 from __future__ import annotations
 
-import sys
-from typing import Callable, Iterable
+from typing import Iterable
 
 
-def accumulate(values: Iterable[float], start: float = 0) -> float:
+def left_sum(values: Iterable[float], start: float = 0) -> float:
     """values added one at a time to start, left to right; start defaults to the int 0, as sum's does."""
     total = start
     for value in values:
         total += value
     return total
-
-
-def left_sum_for(version: tuple[int, ...]) -> Callable[..., float]:
-    """The left-to-right sum for an interpreter version: the builtin before 3.12, else accumulate."""
-    return sum if tuple(version[:2]) < (3, 12) else accumulate
-
-
-left_sum = left_sum_for(sys.version_info)

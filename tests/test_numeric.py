@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ppgsim import allocation, cli, domain, engine, ingest, mobility, topology, transfer
-from ppgsim.numeric import accumulate, left_sum, left_sum_for
+from ppgsim.numeric import left_sum
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1.cfg"
 
@@ -26,31 +26,19 @@ def compensated_sum(values, start=0):
     return math.fsum([start, *values])
 
 
-def test_accumulate_adds_left_to_right():
-    assert accumulate(CANCELLING) == 0.0
-    assert math.fsum(CANCELLING) == 1.0
-    assert accumulate(CANCELLING[::-1]) == 0.0
-    assert accumulate([1.0, 1e16, -1e16]) == 0.0
-    assert accumulate([1e16, -1e16, 1.0]) == 1.0
-
-
-def test_accumulate_starts_like_sum():
-    assert accumulate([]) == 0 and isinstance(accumulate([]), int)
-    assert isinstance(accumulate([], 0.0), float)
-    assert accumulate([2, 3]) == 5 and isinstance(accumulate([2, 3]), int)
-    assert accumulate((x for x in (0.5, 0.25)), 1.0) == 1.75
-
-
-@pytest.mark.parametrize(
-    "version, expected",
-    [((3, 10, 13), sum), ((3, 11), sum), ((3, 12, 0), accumulate), ((3, 13, 0), accumulate), ((4, 0), accumulate)],
-)
-def test_the_builtin_is_used_only_before_3_12(version, expected):
-    assert left_sum_for(version) is expected
-
-
-def test_left_sum_rounds_left_to_right_here():
+def test_left_sum_adds_left_to_right():
     assert left_sum(CANCELLING) == 0.0
+    assert math.fsum(CANCELLING) == 1.0
+    assert left_sum(CANCELLING[::-1]) == 0.0
+    assert left_sum([1.0, 1e16, -1e16]) == 0.0
+    assert left_sum([1e16, -1e16, 1.0]) == 1.0
+
+
+def test_left_sum_starts_like_sum():
+    assert left_sum([]) == 0 and isinstance(left_sum([]), int)
+    assert isinstance(left_sum([], 0.0), float)
+    assert left_sum([2, 3]) == 5 and isinstance(left_sum([2, 3]), int)
+    assert left_sum((x for x in (0.5, 0.25)), 1.0) == 1.75
 
 
 @pytest.fixture
