@@ -2,7 +2,7 @@
 base stations connected by a power packet grid."""
 
 from .allocation import AllocationDecision, TheoremDiagnostic, VirtualQueues
-from .domain import BaseStation, BsRole, EnergyBuffer, RoleKind, SimClock
+from .domain import EnergyBuffer, SimClock
 from .engine import (
     RunResult,
     RunSummary,
@@ -22,8 +22,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationDecision",
-    "BaseStation",
-    "BsRole",
     "ConfigError",
     "EnergyBuffer",
     "HarvestTraceSet",
@@ -31,7 +29,6 @@ __all__ = [
     "LoadProfileSet",
     "LossModel",
     "PpgGrid",
-    "RoleKind",
     "Route",
     "RunResult",
     "RunSummary",

@@ -269,44 +269,6 @@ def lyapunov_pick(
     return pick(consumer, demand_J, {s: a for s, a in available.items() if a > 0.0})
 
 
-RADIAL_MAX_RINGS = 2
-
-
-def radial_allocate(
-    consumer: int,
-    demand_J: float,
-    available: Mapping[int, float],
-    hops_to: Mapping[int, int],
-    fraction_of: FractionFn,
-) -> AllocationDecision | None:
-    """Benchmark: scan the consumer's neighbors, then neighbors-of-neighbors.
-
-    The search stops after two rings; within the first ring holding any
-    source the lowest station id wins regardless of how much it can give.
-    """
-    for ring in range(1, RADIAL_MAX_RINGS + 1):
-        hits = sorted(s for s in hops_to if available[s] > 0.0 and hops_to[s] == ring)
-        if hits:
-            return _decision_for(hits[0], consumer, available, ring, fraction_of, demand_J)
-    return None
-
-
-def random_allocate(
-    consumer: int,
-    demand_J: float,
-    available: Mapping[int, float],
-    hops_to: Mapping[int, int],
-    fraction_of: FractionFn,
-    rng: random.Random,
-) -> AllocationDecision | None:
-    """Benchmark: pick uniformly over every station with surplus left."""
-    pool = sorted(s for s in available if available[s] > 0.0)
-    if not pool:
-        return None
-    source = rng.choice(pool)
-    return _decision_for(source, consumer, available, hops_to[source], fraction_of, demand_J)
-
-
 def consumer_order(demands: Mapping[int, float], priority: frozenset[int]) -> list[int]:
     """Consumers currently serving associated users first, then the rest; id order within each group."""
     first = sorted(c for c in demands if c in priority)
@@ -337,20 +299,26 @@ def lyapunov_picks(
     )
 
 
+RADIAL_MAX_RINGS = 2
+
+
 def radial_picks(
     shape: Shape, fraction_of: FractionFn, queues: Mapping[int, float],
     consumptions: Mapping[int, float], lam: float, rng: random.Random,
 ) -> PickFn:
-    """Benchmark pick over the consumer's first RADIAL_MAX_RINGS hop rings."""
+    """Benchmark pick: scan the consumer's neighbors, then neighbors-of-neighbors.
+
+    The search stops after RADIAL_MAX_RINGS hop rings; within the first ring
+    holding any source the lowest station id wins regardless of how much it
+    can give.
+    """
 
     def pick(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
-        hops_to = {
-            s: d
-            for d in range(1, RADIAL_MAX_RINGS + 1)
-            for s in ring_ids(consumer, d, shape)
-            if s in available
-        }
-        return radial_allocate(consumer, demand_J, available, hops_to, fraction_of)
+        for d in range(1, RADIAL_MAX_RINGS + 1):
+            hits = [s for s in ring_ids(consumer, d, shape) if s in available and available[s] > 0.0]
+            if hits:
+                return _decision_for(min(hits), consumer, available, d, fraction_of, demand_J)
+        return None
 
     return pick
 
@@ -359,13 +327,16 @@ def random_picks(
     shape: Shape, fraction_of: FractionFn, queues: Mapping[int, float],
     consumptions: Mapping[int, float], lam: float, rng: random.Random,
 ) -> PickFn:
-    """Benchmark pick drawn uniformly from every source, at its lattice distance."""
+    """Benchmark pick drawn uniformly from every station with surplus left, at its lattice distance."""
     cols = shape[1]
 
     def pick(consumer: int, demand_J: float, available: dict[int, float]) -> AllocationDecision | None:
-        r0, c0 = divmod(consumer, cols)
-        hops_to = {s: abs(s // cols - r0) + abs(s % cols - c0) for s in available}
-        return random_allocate(consumer, demand_J, available, hops_to, fraction_of, rng)
+        pool = sorted(s for s in available if available[s] > 0.0)
+        if not pool:
+            return None
+        source = rng.choice(pool)
+        hops = abs(source // cols - consumer // cols) + abs(source % cols - consumer % cols)
+        return _decision_for(source, consumer, available, hops, fraction_of, demand_J)
 
     return pick
 

@@ -3,10 +3,11 @@
 All quantities are joules per time slot. Batteries are ideal: no
 charge/discharge or leakage losses, capped at capacity and clamped at zero.
 
-The per-slot rules work on plain floats: ``roles_of`` reads every
-station's trading role from its reported level and ``battery_steps``
-advances every battery by one slot, grid purchase included, each in one
-pass over the stations. The engine calls them directly; ``role_of`` and
+The per-slot rules work on plain floats: ``bs_consumption`` gives a
+station's consumption at a load, ``roles_of`` reads every station's
+trading role from its reported level and ``battery_steps`` advances every
+battery by one slot, grid purchase included, each in one pass over the
+stations. The engine calls them directly; ``role_of`` and
 ``battery_step`` are the same passes over one station, and
 ``classify_role``, ``eb_step_offgrid``, ``eb_step_ongrid`` and
 ``grid_purchase`` wrap the rules for callers holding an ``EnergyBuffer``.
@@ -17,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 
@@ -76,61 +76,11 @@ class EnergyBuffer:
         return dataclasses.replace(self, level_J=level_J)
 
 
-@dataclass(frozen=True)
-class BaseStation:
-    """Static identity of one base station on the grid."""
-
-    id: int
-    row: int
-    col: int
-    grid_connected: bool
-    buffer: EnergyBuffer
-    idle_energy_J: float = 6_000.0
-    max_load_energy_J: float = 18_000.0
-
-    @property
-    def node(self) -> tuple[int, int]:
-        return (self.row, self.col)
-
-
-class RoleKind(Enum):
-    SOURCE = "source"
-    CONSUMER = "consumer"
-    NEUTRAL = "neutral"
-
-
-@dataclass(frozen=True)
-class BsRole:
-    """Per-slot trading role: a source offers amount_J, a consumer needs it."""
-
-    kind: RoleKind
-    amount_J: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind is RoleKind.NEUTRAL and self.amount_J != 0.0:
-            raise ValueError("neutral role carries no energy amount")
-        if self.kind is not RoleKind.NEUTRAL and self.amount_J <= 0.0:
-            raise ValueError(f"{self.kind.value} role requires a positive amount")
-
-    @property
-    def is_source(self) -> bool:
-        return self.kind is RoleKind.SOURCE
-
-    @property
-    def is_consumer(self) -> bool:
-        return self.kind is RoleKind.CONSUMER
-
-
-def load_energy(load_fraction: float, bs: BaseStation) -> float:
-    """Load-dependent energy for one slot, linear in the normalized load."""
+def bs_consumption(load_fraction: float, idle_J: float, max_load_J: float) -> float:
+    """One slot's consumption: the constant idle draw plus a term linear in the normalized load."""
     if not (0.0 <= load_fraction <= 1.0):
         raise ValueError(f"load_fraction must be in [0, 1], got {load_fraction}")
-    return load_fraction * bs.max_load_energy_J
-
-
-def bs_consumption(bs: BaseStation, load_fraction: float) -> float:
-    """Total slot consumption: constant idle draw plus the load term."""
-    return bs.idle_energy_J + load_energy(load_fraction, bs)
+    return idle_J + load_fraction * max_load_J
 
 
 def roles_of(
@@ -143,9 +93,9 @@ def roles_of(
     """Trading role of every station at its reported level, in one pass.
 
     Returns (roles, demand vector, demands, surpluses): each station's
-    RoleKind value, each station's demand (zero unless it is a consumer),
-    and {id: amount} maps of the consumers and of the sources; vectors are
-    indexed by station id. Levels strictly above the upper threshold are
+    role ("source", "consumer" or "neutral"), each station's demand (zero
+    unless it is a consumer), and {id: amount} maps of the consumers and of
+    the sources; vectors are indexed by station id. Levels strictly above the upper threshold are
     tradeable surplus. An off-grid station strictly below the lower
     threshold demands the gap. Grid-connected stations are never
     consumers; they cover deficits by purchasing from the grid. A level
@@ -170,7 +120,7 @@ def roles_of(
 
 
 def role_of(level_J: float, grid_connected: bool, low_J: float, up_J: float) -> tuple[str, float]:
-    """Trading role of one station at this level: (RoleKind value, amount).
+    """Trading role of one station at this level: (role, amount).
 
     roles_of for one station with no upper bound on the level; see it for
     the rules. A neutral station's amount is zero.
@@ -179,12 +129,9 @@ def role_of(level_J: float, grid_connected: bool, low_J: float, up_J: float) -> 
     return roles[0], surpluses.get(0, demand[0])
 
 
-def classify_role(buffer: EnergyBuffer, grid_connected: bool) -> BsRole:
-    """Decide source/consumer/neutral from the reported buffer level (see role_of)."""
-    kind, amount = role_of(
-        buffer.level_J, grid_connected, buffer.low_threshold_J, buffer.up_threshold_J
-    )
-    return BsRole(RoleKind(kind), amount)
+def classify_role(buffer: EnergyBuffer, grid_connected: bool) -> tuple[str, float]:
+    """role_of at the reported buffer level and thresholds: (role, amount)."""
+    return role_of(buffer.level_J, grid_connected, buffer.low_threshold_J, buffer.up_threshold_J)
 
 
 def battery_steps(

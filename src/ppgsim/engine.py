@@ -218,7 +218,6 @@ class SlotMetrics:
     role: tuple[str, ...]
     demand_J: tuple[float, ...]
     delivered_J: tuple[float, ...]
-    gross_out_J: tuple[float, ...]
     flow_J: tuple[float, ...]
     purchase_J: tuple[float, ...]
     harvest_J: tuple[float, ...]
@@ -444,7 +443,7 @@ class Simulation:
         harvested = [j * harvest_J for j in self.jitter]
         k = t % self.slots_per_day
         idle, peak = cfg.idle_energy_J, cfg.max_load_energy_J
-        cluster_load = [idle + row[k] * peak for row in self.profiles.clusters]
+        cluster_load = [domain.bs_consumption(row[k], idle, peak) for row in self.profiles.clusters]
         consumption = [cluster_load[c] for c in self.cluster_of]
 
         self.levels, purchases, clamped, capped = domain.battery_steps(
@@ -452,10 +451,8 @@ class Simulation:
         )
 
         delivered = [0.0] * n
-        gross_out = [0.0] * n
         for d in decisions:
             delivered[d.consumer_id] += d.delivered_J
-            gross_out[d.source_id] += d.gross_J
         queue_snapshot = tuple(self.queues.values.values())
         self.queues.advance_all(delivered, cap)
 
@@ -469,7 +466,6 @@ class Simulation:
             role=tuple(roles),
             demand_J=tuple(demand),
             delivered_J=tuple(delivered),
-            gross_out_J=tuple(gross_out),
             flow_J=tuple(flows),
             purchase_J=tuple(purchases),
             harvest_J=tuple(harvested),
@@ -580,13 +576,6 @@ def coverage_pct(demand_J: float, delivered_J: float) -> float:
     if demand_J == 0.0:
         return 100.0
     return 100.0 * delivered_J / demand_J
-
-
-def demand_coverage_pct(slots: Sequence[SlotMetrics]) -> float:
-    """Delivered energy as a percentage of demand over the whole run."""
-    return coverage_pct(
-        left_sum(m.total_demand_J for m in slots), left_sum(m.total_delivered_J for m in slots)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -889,15 +878,6 @@ def summarize(result: RunResult) -> dict[str, object]:
     for m in result.slots:
         totals.add(m)
     return totals.summary(result.theorem)
-
-
-def metrics_rows(result: RunResult) -> list[str]:
-    totals = SummaryAccumulator(result.config)
-    return [_METRICS_HEADER, *(metrics_line(totals.add(m)) for m in result.slots)]
-
-
-def transfer_rows(result: RunResult) -> list[str]:
-    return [_TRANSFERS_HEADER, *(transfer_line(slot, job) for slot, job in result.jobs)]
 
 
 def summary_rows(result: RunResult | RunSummary) -> list[str]:

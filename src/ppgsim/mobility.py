@@ -8,9 +8,9 @@ them afterwards, since association and trajectories use the reference
 point. Associations go to the nearest base station, lowest id on ties.
 
 The engine steps a ``Fleet``: every group's position in one flat list,
-moved in place each slot. ``rpgm_step``, ``nearest_bs``,
-``association_set`` and ``trajectory_rows`` do the same for
-``VueGroup`` values through the same move and lookup helpers.
+moved in place each slot. ``rpgm_step``, ``nearest_bs`` and
+``association_set`` do the same for ``VueGroup`` values through the same
+move and lookup helpers.
 """
 
 from __future__ import annotations
@@ -29,21 +29,6 @@ class VueGroup:
     velocity_mps: float  # signed, along the highway axis; no U-turns mid-run
     lane: int
     member_offsets: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class AssociationSnapshot:
-    slot_index: int
-    serving: frozenset[int]
-
-
-def bs_world_positions(rows: int, cols: int, spacing_m: float) -> dict[int, tuple[float, float]]:
-    """World (x, y) of each station; ids row-major, x along columns."""
-    return {
-        r * cols + c: (c * spacing_m, r * spacing_m)
-        for r in range(rows)
-        for c in range(cols)
-    }
 
 
 def _draw_offset(rng: random.Random, radius_m: float) -> tuple[float, float]:
@@ -151,7 +136,7 @@ def nearest_bs(x_m: float, y_m: float, rows: int, cols: int, spacing_m: float) -
     Stations sit at (c * spacing, r * spacing), ids row-major. On each axis
     only the lattice lines either side of the point, clamped to the grid,
     can be nearest, so the 2x2 block of them is compared with the distance
-    expression of a scan over bs_world_positions, ties going to the lower id.
+    expression of a scan over every station, ties going to the lower id.
     The two agree while a point lies within about 1e7 spacings of the grid;
     farther out, rounding can make stations beyond the block tie with it.
     """
@@ -159,36 +144,17 @@ def nearest_bs(x_m: float, y_m: float, rows: int, cols: int, spacing_m: float) -
 
 
 def association_set(
-    slot_index: int,
-    groups: Sequence[VueGroup],
-    rows: int,
-    cols: int,
-    spacing_m: float,
-) -> AssociationSnapshot:
+    groups: Sequence[VueGroup], rows: int, cols: int, spacing_m: float
+) -> frozenset[int]:
     """Stations currently serving at least one vehicle group."""
-    serving = frozenset(nearest_bs(g.x_m, g.y_m, rows, cols, spacing_m) for g in groups)
-    return AssociationSnapshot(slot_index=slot_index, serving=serving)
-
-
-def trajectory_rows(
-    slot_index: int,
-    groups: Sequence[VueGroup],
-    rows: int,
-    cols: int,
-    spacing_m: float,
-) -> list[tuple[int, int, float, float, int]]:
-    """Debug dump rows: (slot, group, x, y, serving_bs), one per vehicle."""
-    return [
-        (slot_index, g.group_id, g.x_m, g.y_m, nearest_bs(g.x_m, g.y_m, rows, cols, spacing_m))
-        for g in groups
-    ]
+    return frozenset(nearest_bs(g.x_m, g.y_m, rows, cols, spacing_m) for g in groups)
 
 
 class Fleet:
     """Every group's reference point as flat per-group lists, moved in place each slot.
 
     Equal, slot for slot, to stepping the groups with rpgm_step and reading
-    them with association_set and trajectory_rows: each group's move is
+    them with association_set and nearest_bs: each group's move is
     velocity * tau, the product rpgm_step forms before adding it, and its
     row terms for the nearest-station lookup come from its constant y once.
     """
@@ -220,7 +186,7 @@ class Fleet:
         )
 
     def trajectory_rows(self, slot_index: int) -> list[tuple[int, int, float, float, int]]:
-        """Debug dump rows of the current positions (see the module-level trajectory_rows)."""
+        """Debug dump rows of the current positions: (slot, group, x, y, serving_bs), one per group."""
         cols, spacing_m = self.cols, self.spacing_m
         return [
             (slot_index, g, x_m, y_m, _nearest(x_m, terms, cols, spacing_m))

@@ -17,8 +17,6 @@ from ppgsim.allocation import (
     lyapunov_pick,
     p2_score,
     queue_update,
-    radial_allocate,
-    random_allocate,
     ring_ids,
     theorem1_report,
 )
@@ -186,58 +184,57 @@ class TestLyapunovAllocate:
         assert outages == [5]
 
 
+def benchmark_pick(policy, consumer, demand_J, available, seed=1, shape=(4, 6)):
+    """The policy's pick for one consumer on the lattice, checked against oracle_pick."""
+    picked = allocation.PICKS[policy](shape, FRACTION, {}, {}, 1.0, random.Random(seed))(
+        consumer, demand_J, available
+    )
+    cols = shape[1]
+    hops_to = {s: abs(s // cols - consumer // cols) + abs(s % cols - consumer % cols) for s in available}
+    oracle = oracle_pick(policy, consumer, demand_J, available, hops_to, {}, {}, 1.0, random.Random(seed))
+    assert picked == oracle
+    return picked
+
+
+# on the 4x6 lattice, station 9 sits at (1, 3): 3, 8, 10 and 15 are one hop
+# away, 2, 4, 7, 11, 14, 16 and 21 two hops, 20 three hops
+
+
 class TestRadial:
     def test_ring_one_beats_ring_two(self):
-        available = {10: 50e3, 20: 50e3}
-        hops_to = {10: 1, 20: 2}
-        picked = radial_allocate(9, 10e3, available, hops_to, FRACTION)
+        picked = benchmark_pick("radial", 9, 10e3, {10: 50e3, 4: 50e3})
         assert picked.source_id == 10
 
     def test_ring_two_when_ring_one_empty(self):
-        available = {20: 50e3}
-        hops_to = {20: 2}
-        picked = radial_allocate(9, 10e3, available, hops_to, FRACTION)
-        assert picked.source_id == 20
+        picked = benchmark_pick("radial", 9, 10e3, {21: 50e3})
+        assert picked.source_id == 21
         assert picked.hops == 2
 
     def test_stops_after_two_rings(self):
-        available = {30: 50e3}
-        hops_to = {30: 3}
-        assert radial_allocate(9, 10e3, available, hops_to, FRACTION) is None
+        assert benchmark_pick("radial", 9, 10e3, {20: 50e3}) is None
 
     def test_lowest_id_wins_within_ring(self):
-        available = {6: 50e3, 2: 50e3}
-        hops_to = {6: 1, 2: 1}
-        assert radial_allocate(9, 10e3, available, hops_to, FRACTION).source_id == 2
+        assert benchmark_pick("radial", 9, 10e3, {15: 50e3, 3: 5e3}).source_id == 3
 
     def test_caps_at_surplus(self):
-        available = {2: 5e3}
-        hops_to = {2: 1}
-        picked = radial_allocate(9, 10e3, available, hops_to, FRACTION)
+        picked = benchmark_pick("radial", 9, 10e3, {10: 5e3})
         assert picked.gross_J == 5e3
         assert picked.shortfall
 
 
 class TestRandom:
     def test_single_source(self):
-        picked = random_allocate(9, 10e3, {4: 50e3}, {4: 3}, FRACTION, random.Random(1))
-        assert picked.source_id == 4
+        picked = benchmark_pick("random", 9, 10e3, {20: 50e3})
+        assert picked.source_id == 20
+        assert picked.hops == 3
 
     def test_empty(self):
-        assert random_allocate(9, 10e3, {}, {}, FRACTION, random.Random(1)) is None
+        assert benchmark_pick("random", 9, 10e3, {}) is None
 
     def test_seeded_reproducibility(self):
         available = {i: 50e3 for i in range(6)}
-        hops_to = {i: i + 1 for i in range(6)}
-        picks1 = [
-            random_allocate(9, 10e3, available, hops_to, FRACTION, random.Random(77)).source_id
-            for _ in range(1)
-        ]
-        picks2 = [
-            random_allocate(9, 10e3, available, hops_to, FRACTION, random.Random(77)).source_id
-            for _ in range(1)
-        ]
-        assert picks1 == picks2
+        picks = [benchmark_pick("random", 9, 10e3, available, seed=77).source_id for _ in range(2)]
+        assert picks[0] == picks[1]
 
 
 class TestSlotDrivers:

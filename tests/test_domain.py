@@ -9,10 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppgsim.domain import (
-    BaseStation,
-    BsRole,
     EnergyBuffer,
-    RoleKind,
     SimClock,
     battery_step,
     battery_steps,
@@ -21,7 +18,6 @@ from ppgsim.domain import (
     eb_step_offgrid,
     eb_step_ongrid,
     grid_purchase,
-    load_energy,
     role_of,
     roles_of,
 )
@@ -31,11 +27,7 @@ def make_buffer(level, cap=490e3, low=147e3, up=343e3):
     return EnergyBuffer(level_J=level, capacity_J=cap, low_threshold_J=low, up_threshold_J=up)
 
 
-def make_bs(level=245e3, grid_connected=False, idle=6e3, max_load=18e3):
-    return BaseStation(
-        id=0, row=0, col=0, grid_connected=grid_connected,
-        buffer=make_buffer(level), idle_energy_J=idle, max_load_energy_J=max_load,
-    )
+IDLE, MAX_LOAD = 6e3, 18e3
 
 
 class TestSimClock:
@@ -66,74 +58,78 @@ class TestEnergyBuffer:
 
 
 def test_role_requires_positive_amount():
-    with pytest.raises(ValueError):
-        BsRole(RoleKind.SOURCE, 0.0)
-    with pytest.raises(ValueError):
-        BsRole(RoleKind.NEUTRAL, 5.0)
+    # a source or consumer always trades a positive amount, a neutral station none
+    rng = random.Random(6)
+    levels = [0.0, 147e3, 343e3, 490e3, *(rng.uniform(0, 490e3) for _ in range(500))]
+    for level in levels:
+        for on_grid in (False, True):
+            kind, amount = classify_role(make_buffer(level), on_grid)
+            assert (amount == 0.0) if kind == "neutral" else (amount > 0.0)
 
 
 class TestLoadEnergy:
+    """The load term of bs_consumption, seen with no idle draw."""
+
     def test_zero_load(self):
-        assert load_energy(0.0, make_bs()) == 0.0
+        assert bs_consumption(0.0, 0.0, MAX_LOAD) == 0.0
 
     def test_full_load(self):
-        assert load_energy(1.0, make_bs()) == 18e3
+        assert bs_consumption(1.0, 0.0, MAX_LOAD) == 18e3
 
     def test_half_load(self):
-        assert load_energy(0.5, make_bs()) == 9e3
+        assert bs_consumption(0.5, 0.0, MAX_LOAD) == 9e3
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            load_energy(1.2, make_bs())
-        with pytest.raises(ValueError):
-            load_energy(-0.1, make_bs())
+        for load in (1.2, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"load_fraction must be in \[0, 1\]"):
+                bs_consumption(load, IDLE, MAX_LOAD)
 
 
 class TestConsumption:
     def test_idle_only(self):
-        assert bs_consumption(make_bs(), 0.0) == 6e3
+        assert bs_consumption(0.0, IDLE, MAX_LOAD) == 6e3
 
     def test_full_load(self):
-        assert bs_consumption(make_bs(), 1.0) == 24e3
+        assert bs_consumption(1.0, IDLE, MAX_LOAD) == 24e3
 
     def test_half_load(self):
-        assert bs_consumption(make_bs(), 0.5) == 15e3
+        assert bs_consumption(0.5, IDLE, MAX_LOAD) == 15e3
 
     def test_monotone_in_load(self):
-        bs = make_bs()
         rng = random.Random(11)
         samples = sorted(rng.random() for _ in range(200))
-        values = [bs_consumption(bs, f) for f in samples]
+        values = [bs_consumption(f, IDLE, MAX_LOAD) for f in samples]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 class TestClassifyRole:
     def test_source_above_upper(self):
-        role = classify_role(make_buffer(400e3), grid_connected=False)
-        assert role.is_source
-        assert role.amount_J == pytest.approx(57e3)
+        kind, amount = classify_role(make_buffer(400e3), grid_connected=False)
+        assert kind == "source"
+        assert amount == pytest.approx(57e3)
 
     def test_consumer_below_lower_offgrid(self):
-        role = classify_role(make_buffer(120e3), grid_connected=False)
-        assert role.is_consumer
-        assert role.amount_J == pytest.approx(27e3)
+        kind, amount = classify_role(make_buffer(120e3), grid_connected=False)
+        assert kind == "consumer"
+        assert amount == pytest.approx(27e3)
 
     def test_boundary_is_neutral(self):
-        assert classify_role(make_buffer(147e3), grid_connected=False).kind is RoleKind.NEUTRAL
-        assert classify_role(make_buffer(343e3), grid_connected=False).kind is RoleKind.NEUTRAL
+        assert classify_role(make_buffer(147e3), grid_connected=False) == ("neutral", 0.0)
+        assert classify_role(make_buffer(343e3), grid_connected=False) == ("neutral", 0.0)
 
     def test_ongrid_never_consumer(self):
-        role = classify_role(make_buffer(10e3), grid_connected=True)
-        assert role.kind is RoleKind.NEUTRAL
+        assert classify_role(make_buffer(10e3), grid_connected=True) == ("neutral", 0.0)
 
     def test_ongrid_can_be_source(self):
-        assert classify_role(make_buffer(400e3), grid_connected=True).is_source
+        assert classify_role(make_buffer(400e3), grid_connected=True)[0] == "source"
 
     def test_exactly_one_role(self):
         rng = random.Random(5)
         for _ in range(500):
-            role = classify_role(make_buffer(rng.uniform(0, 490e3)), rng.random() < 0.3)
-            assert role.kind in (RoleKind.SOURCE, RoleKind.CONSUMER, RoleKind.NEUTRAL)
+            level, on_grid = rng.uniform(0, 490e3), rng.random() < 0.3
+            role = classify_role(make_buffer(level), on_grid)
+            assert role[0] in ("source", "consumer", "neutral")
+            assert role == role_of(level, on_grid, 147e3, 343e3)
 
 
 class TestEbStepOffgrid:
@@ -221,9 +217,10 @@ class TestGridPurchase:
 
 class TestRoleOf:
     def test_kinds_match_role_enum(self):
-        assert role_of(400e3, False, 147e3, 343e3) == (RoleKind.SOURCE.value, 400e3 - 343e3)
-        assert role_of(100e3, False, 147e3, 343e3) == (RoleKind.CONSUMER.value, 147e3 - 100e3)
-        assert role_of(100e3, True, 147e3, 343e3) == (RoleKind.NEUTRAL.value, 0.0)
+        # the three role names roles_of writes into the roles vector
+        assert role_of(400e3, False, 147e3, 343e3) == ("source", 400e3 - 343e3)
+        assert role_of(100e3, False, 147e3, 343e3) == ("consumer", 147e3 - 100e3)
+        assert role_of(100e3, True, 147e3, 343e3) == ("neutral", 0.0)
 
     def test_thresholds_are_neutral(self):
         assert role_of(147e3, False, 147e3, 343e3) == ("neutral", 0.0)

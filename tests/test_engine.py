@@ -1,5 +1,6 @@
 """Per-slot loop semantics, run orchestration, and output determinism."""
 
+import collections
 import dataclasses
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppgsim import cli, domain, engine, ingest, mobility
+from ppgsim import cli, engine, ingest, mobility
 from ppgsim.engine import (
     SimConfig,
     Simulation,
@@ -15,37 +16,24 @@ from ppgsim.engine import (
     compare,
     config_from_items,
     config_items,
-    demand_coverage_pct,
-    metrics_rows,
     run,
     run_variants,
     summary_rows,
     sweep_lambda,
-    transfer_rows,
     write_outputs,
 )
 from ppgsim.errors import ConfigError
 from ppgsim.ingest import HarvestTraceSet, LoadProfileSet
 
 
+Station = collections.namedtuple("Station", "id node grid_connected level_J")
+
+
 def reference_stations(config):
-    """One BaseStation per lattice node, row-major, as the config describes it."""
-    buffer = domain.EnergyBuffer(
-        config.initial_fill_fraction * config.beta_max_J,
-        config.beta_max_J,
-        config.beta_low_J,
-        config.beta_up_J,
-    )
+    """One station per lattice node, row-major, as the config describes it."""
+    level = config.initial_fill_fraction * config.beta_max_J
     return [
-        domain.BaseStation(
-            id=r * config.cols + c,
-            row=r,
-            col=c,
-            grid_connected=r * config.cols + c in config.on_grid_ids,
-            buffer=buffer,
-            idle_energy_J=config.idle_energy_J,
-            max_load_energy_J=config.max_load_energy_J,
-        )
+        Station(r * config.cols + c, (r, c), r * config.cols + c in config.on_grid_ids, level)
         for r in range(config.rows)
         for c in range(config.cols)
     ]
@@ -231,7 +219,8 @@ class TestStepSemantics:
         for t in range(cfg.horizon_slots):
             metrics, _ = sim.step(t)
             assert metrics.consumption_J == tuple(
-                domain.bs_consumption(bs, profiles.load_at(bs.id, t)) for bs in stations
+                cfg.idle_energy_J + profiles.load_at(bs.id, t) * cfg.max_load_energy_J
+                for bs in stations
             )
 
     def test_station_state_built_from_config(self):
@@ -241,7 +230,7 @@ class TestStepSemantics:
         assert sim.ids == [bs.id for bs in stations]
         assert sim.positions == {bs.id: bs.node for bs in stations}
         assert sim.on_grid == [bs.grid_connected for bs in stations]
-        assert sim.levels == [bs.buffer.level_J for bs in stations]
+        assert sim.levels == [bs.level_J for bs in stations]
         assert [i for i, flag in enumerate(sim.on_grid) if flag] == [2, 7]
 
     def test_association_feeds_priority(self, reference_config):
@@ -291,11 +280,12 @@ class TestRun:
         for name in paths1:
             assert paths1[name].read_bytes() == paths2[name].read_bytes()
 
-    def test_different_seeds_differ(self, reference_config):
+    def test_different_seeds_differ(self, tmp_path, reference_config):
         cfg1 = dataclasses.replace(reference_config, horizon_slots=240)
         cfg2 = dataclasses.replace(cfg1, seed=8)
-        r1, r2 = run(cfg1), run(cfg2)
-        assert metrics_rows(r1) != metrics_rows(r2)
+        paths1 = write_outputs(run(cfg1), tmp_path / "a")
+        paths2 = write_outputs(run(cfg2), tmp_path / "b")
+        assert paths1["metrics"].read_bytes() != paths2["metrics"].read_bytes()
 
 
 class TestCompareAndSweep:
@@ -333,7 +323,11 @@ class TestCompareAndSweep:
         assert runs == []
 
     def test_coverage_on_empty_demand_is_full(self):
-        assert demand_coverage_pct([]) == 100.0
+        totals = engine.SummaryAccumulator(SimConfig(horizon_slots=0))
+        assert totals.summary(None)["demand_coverage_pct"] == 100.0
+        cfg = SimConfig(horizon_slots=3)
+        profiles, harvest = quiet_traces(cfg)
+        assert run(cfg, profiles, harvest).summary["demand_coverage_pct"] == 100.0
 
 
 class TestRunVariants:
@@ -382,18 +376,18 @@ class TestRunVariants:
 
 
 class TestOutputs:
-    def test_metrics_header_and_rows(self, reference_config):
+    def test_metrics_header_and_rows(self, tmp_path, reference_config):
         cfg = dataclasses.replace(reference_config, horizon_slots=3)
-        rows = metrics_rows(run(cfg))
+        rows = write_outputs(run(cfg), tmp_path)["metrics"].read_text().splitlines()
         assert rows[0].startswith("slot,")
         assert len(rows) == 4
 
-    def test_transfer_rows_have_route(self, reference_config):
+    def test_transfer_rows_have_route(self, tmp_path, reference_config):
         cfg = dataclasses.replace(reference_config, horizon_slots=500)
         result = run(cfg)
-        rows = transfer_rows(result)
-        if len(rows) > 1:
-            assert "|" in rows[1].rsplit(",", 1)[1]
+        rows = write_outputs(result, tmp_path)["transfers"].read_text().splitlines()
+        assert len(rows) == len(result.jobs) + 1 > 1
+        assert "|" in rows[1].rsplit(",", 1)[1]
 
     def test_summary_parseable(self, reference_config):
         cfg = dataclasses.replace(reference_config, horizon_slots=3)

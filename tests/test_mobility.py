@@ -12,11 +12,9 @@ from ppgsim.mobility import (
     _nearest,
     _row_terms,
     association_set,
-    bs_world_positions,
     make_groups,
     nearest_bs,
     rpgm_step,
-    trajectory_rows,
 )
 
 WORLD = 2500.0
@@ -25,6 +23,19 @@ RADIUS = 20.0
 
 def make_group(x=100.0, v=10.0, members=3):
     return VueGroup(0, x, 748.0, v, 0, tuple((0.0, 0.0) for _ in range(members)))
+
+
+def bs_world_positions(rows, cols, spacing_m):
+    """World (x, y) of each station: (c * spacing, r * spacing), ids row-major."""
+    return {r * cols + c: (c * spacing_m, r * spacing_m) for r in range(rows) for c in range(cols)}
+
+
+def trajectory_rows(slot_index, groups, rows, cols, spacing_m):
+    """Reference: one debug dump row per group, (slot, group, x, y, serving_bs)."""
+    return [
+        (slot_index, g.group_id, g.x_m, g.y_m, nearest_bs(g.x_m, g.y_m, rows, cols, spacing_m))
+        for g in groups
+    ]
 
 
 def scan_nearest(x_m, y_m, bs_xy):
@@ -177,24 +188,23 @@ class TestAssociation:
         groups = [
             VueGroup(i, 510.0 + i, 498.0, 10.0, 0, ((0.0, 0.0),)) for i in range(10)
         ]
-        snap = association_set(0, groups, 4, 6, 500.0)
-        assert snap.serving == frozenset({7})
+        assert association_set(groups, 4, 6, 500.0) == frozenset({7})
 
     def test_snapshot_size_bounded_by_groups(self):
         rng = random.Random(5)
         groups = make_groups(rng, 10, 3, WORLD, (748.0, 752.0), (10.0, 30.0), RADIUS)
-        snap = association_set(0, groups, 4, 6, 500.0)
-        assert len(snap.serving) <= 10
-        assert all(0 <= b < 24 for b in snap.serving)
+        serving = association_set(groups, 4, 6, 500.0)
+        assert len(serving) <= 10
+        assert all(0 <= b < 24 for b in serving)
 
     def test_trajectory_rows_one_per_group(self):
         rng = random.Random(5)
         groups = make_groups(rng, 7, 3, WORLD, (748.0, 752.0), (10.0, 30.0), RADIUS)
-        rows = trajectory_rows(3, groups, 4, 6, 500.0)
+        rows = Fleet(groups, 60.0, WORLD, 4, 6, 500.0).trajectory_rows(3)
+        assert rows == trajectory_rows(3, groups, 4, 6, 500.0)
         assert len(rows) == 7
         assert all(row[0] == 3 for row in rows)
-        snap = association_set(3, groups, 4, 6, 500.0)
-        assert {row[4] for row in rows} == snap.serving
+        assert {row[4] for row in rows} == association_set(groups, 4, 6, 500.0)
 
 
 @st.composite
@@ -227,5 +237,5 @@ class TestFleet:
             groups = [rpgm_step(g, tau, world) for g in groups]
             serving = fleet.step()
             assert [repr(x) for x in fleet.x_m] == [repr(g.x_m) for g in groups]
-            assert serving == association_set(t, groups, rows, cols, spacing).serving
+            assert serving == association_set(groups, rows, cols, spacing)
         assert fleet.trajectory_rows(7) == trajectory_rows(7, groups, rows, cols, spacing)

@@ -59,22 +59,28 @@ def test_totals_that_reach_outputs_round_left_to_right(compensated_builtin, tmp_
     # the negative flows -1e16, -1.0, -1.0 lose both ones left to right
     flows = (-1e16, -1.0, -1.0)
     metrics = engine.SlotMetrics(
-        0, cancelling, zeros, cancelling, ("idle",) * n, cancelling, cancelling, zeros,
+        0, cancelling, zeros, cancelling, ("idle",) * n, cancelling, cancelling,
         flows, cancelling, cancelling, cancelling, frozenset(), (), (), (), (), 0,
     )
     assert metrics.total_demand_J == metrics.total_delivered_J == 0.0
     assert metrics.total_purchase_J == 0.0
     assert metrics.total_flow_J == -1e16
-    row = engine.SummaryAccumulator(engine.SimConfig(rows=1, cols=3, on_grid_ids=())).add(metrics)
+    config = engine.SimConfig(rows=1, cols=3, on_grid_ids=())
+    row = engine.SummaryAccumulator(config).add(metrics)
     assert (row.harvest_J, row.consumption_J, row.mean_level_J, row.queue_sum_J) == (0.0,) * 4
     assert (row.gross_J, row.flow_sum_J) == (1e16, -1e16)
 
-    def slot(demand_J, delivered_J):
-        return dataclasses.replace(metrics, demand_J=(demand_J,), delivered_J=(delivered_J,))
+    def coverage(pairs):
+        totals = engine.SummaryAccumulator(config)
+        for demand_J, delivered_J in pairs:
+            totals.add(dataclasses.replace(
+                metrics, demand_J=(demand_J, 0.0, 0.0), delivered_J=(delivered_J, 0.0, 0.0)
+            ))
+        return totals.summary(None)["demand_coverage_pct"]
 
     # slot totals summed over the run: demand 0.0 (full coverage), then delivered 0.0
-    assert engine.demand_coverage_pct([slot(x, 0.0) for x in CANCELLING]) == 100.0
-    assert engine.demand_coverage_pct([slot(1.0, x) for x in CANCELLING]) == 0.0
+    assert coverage((x, 0.0) for x in CANCELLING) == 100.0
+    assert coverage((1.0, x) for x in CANCELLING) == 0.0
 
     # per-station mean queues, then their sum over stations
     report = allocation.theorem1_report(CANCELLING, {0: CANCELLING}, 1.0, 0.0)

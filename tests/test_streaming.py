@@ -195,7 +195,10 @@ def test_a_log_one_slot_ahead_is_caught():
     assert ahead != log[:-1]
     profiles, harvest = engine.build_traces(TRADING)
     replayed = engine.Simulation(TRADING, profiles, harvest, ahead).run()
-    assert engine.metrics_rows(replayed) != engine.metrics_rows(engine.run(TRADING))
+    with tempfile.TemporaryDirectory() as tmp:
+        engine.write_outputs(replayed, Path(tmp) / "ahead")
+        engine.write_outputs(engine.run(TRADING), Path(tmp) / "fresh")
+        assert files(Path(tmp) / "ahead")["metrics.csv"] != files(Path(tmp) / "fresh")["metrics.csv"]
 
 
 class TestMemory:
