@@ -43,6 +43,8 @@ Shape = tuple[int, int]
 FractionFn = Callable[[int], float]
 # (consumer, d) -> ids of the stations d hops from the consumer
 RingsFn = Callable[[int, int], Sequence[int]]
+# a value per station, read as values[station_id]: an id-indexed list or a map
+PerStation = Sequence[float] | Mapping[int, float]
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,9 @@ class AllocationDecision:
     shortfall: bool = False
 
     def __post_init__(self) -> None:
-        if self.gross_J <= 0:
-            raise ValueError(f"gross_J must be positive, got {self.gross_J}")
+        # written so that NaN and infinities fail the check
+        if not (0.0 < self.gross_J < math.inf):
+            raise ValueError(f"gross_J must be positive and finite, got {self.gross_J}")
         if not (0.0 < self.fraction <= 1.0):
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.hops < 0:
@@ -74,10 +77,10 @@ class AllocationDecision:
 
 
 class VirtualQueues:
-    """Per-station control queues driving the drift term; start at zero."""
+    """Per-station control queues driving the drift term, a list indexed by station id; start at zero."""
 
-    def __init__(self, ids: Iterable[int]) -> None:
-        self.values: dict[int, float] = {n: 0.0 for n in ids}
+    def __init__(self, n_stations: int) -> None:
+        self.values: list[float] = [0.0] * n_stations
 
     def get(self, bs_id: int) -> float:
         return self.values[bs_id]
@@ -88,15 +91,17 @@ class VirtualQueues:
     def advance_all(self, delivered_J: Sequence[float], cap_J: float) -> None:
         """Advance every queue one slot, as queue_update does; delivered_J is in id order.
 
-        Queues never go negative, so only the slot's inputs are checked.
+        values becomes a new list, so a list read before the advance keeps
+        the slot-start queues. Queues never go negative, so only the slot's
+        inputs are checked.
         """
         if cap_J < 0 or min(delivered_J, default=0.0) < 0:
             raise ValueError("queue inputs must be >= 0")
-        values = self.values
-        for bs_id, delivered in zip(values, delivered_J):
-            q = values[bs_id] + delivered - cap_J
-            # max(q, 0.0) returns 0.0 only when 0.0 > q: the same bits, -0.0 and NaN included
-            values[bs_id] = 0.0 if 0.0 > q else q
+        # max(q, 0.0) returns 0.0 only when 0.0 > q: the same bits, -0.0 and NaN included
+        self.values = [
+            0.0 if 0.0 > (q := value + delivered - cap_J) else q
+            for value, delivered in zip(self.values, delivered_J)
+        ]
 
 
 def queue_update(queue_J: float, delivered_J: float, cap_J: float) -> float:
@@ -156,19 +161,21 @@ def lyapunov_ring_picks(
     rings: RingsFn,
     hop_values: Sequence[int],
     fractions: Sequence[float] | Mapping[int, float],
-    queues: Mapping[int, float],
-    consumptions: Mapping[int, float],
+    queues: PerStation,
+    consumptions: PerStation,
     lam: float,
 ) -> PickFn:
     """The drift-plus-penalty pick, walking each consumer's candidates nearest first.
 
     rings(consumer, d) gives the station ids d hops from the consumer, for
     each d of hop_values in ascending order, and fractions[d] the share of
-    sent energy that survives d hops, non-increasing in d. The candidates
-    are the ids in available, which holds only surpluses above zero, as
-    allocate_slot keeps it. A candidate is adequate when its surplus times
-    the fraction covers the demand, so a pick always restores the full
-    demand after route losses. Adequate candidates are preferred; among
+    sent energy that survives d hops, non-increasing in d; queues[consumer]
+    and consumptions[consumer] give the consumer's drift term, so both must
+    hold every consumer picked for. The candidates are the ids in
+    available, which holds only surpluses above zero, as allocate_slot
+    keeps it. A candidate is adequate when its surplus times the fraction
+    covers the demand, so a pick always restores the full demand after
+    route losses. Adequate candidates are preferred; among
     those at the minimum hop count the one with the lowest
     drift-plus-penalty score (p2_score) wins, and exact ties go to the
     lower id. When no candidate is adequate the nearest inadequate ones are
@@ -219,7 +226,7 @@ def lyapunov_ring_picks(
             return None
         fraction = fractions[hops]
         need = demand_J / fraction
-        drift = queues.get(consumer, 0.0) * consumptions.get(consumer, 0.0)
+        drift = queues[consumer] * consumptions[consumer]
         best = None
         best_gross, best_score = 0.0, math.inf
         for s in sorted(pool):
@@ -280,8 +287,8 @@ PickFn = Callable[[int, float, dict[int, float]], AllocationDecision | None]
 
 
 def lyapunov_picks(
-    shape: Shape, fraction_of: FractionFn, queues: Mapping[int, float],
-    consumptions: Mapping[int, float], lam: float, rng: random.Random,
+    shape: Shape, fraction_of: FractionFn, queues: PerStation,
+    consumptions: PerStation, lam: float, rng: random.Random,
 ) -> PickFn:
     """Drift-plus-penalty pick over the hop rings around the consumer on the lattice.
 
@@ -303,8 +310,8 @@ RADIAL_MAX_RINGS = 2
 
 
 def radial_picks(
-    shape: Shape, fraction_of: FractionFn, queues: Mapping[int, float],
-    consumptions: Mapping[int, float], lam: float, rng: random.Random,
+    shape: Shape, fraction_of: FractionFn, queues: PerStation,
+    consumptions: PerStation, lam: float, rng: random.Random,
 ) -> PickFn:
     """Benchmark pick: scan the consumer's neighbors, then neighbors-of-neighbors.
 
@@ -324,8 +331,8 @@ def radial_picks(
 
 
 def random_picks(
-    shape: Shape, fraction_of: FractionFn, queues: Mapping[int, float],
-    consumptions: Mapping[int, float], lam: float, rng: random.Random,
+    shape: Shape, fraction_of: FractionFn, queues: PerStation,
+    consumptions: PerStation, lam: float, rng: random.Random,
 ) -> PickFn:
     """Benchmark pick drawn uniformly from every station with surplus left, at its lattice distance."""
     cols = shape[1]
@@ -357,8 +364,8 @@ def allocate_slot(
     surpluses: Mapping[int, float],
     shape: Shape,
     fraction_of: FractionFn,
-    queues: Mapping[int, float],
-    consumptions: Mapping[int, float],
+    queues: PerStation,
+    consumptions: PerStation,
     lam: float,
     rng: random.Random,
 ) -> tuple[list[AllocationDecision], list[int]]:

@@ -108,7 +108,7 @@ def roles_of(
     demands: dict[int, float] = {}
     surpluses: dict[int, float] = {}
     for i, (level, on_grid) in enumerate(zip(levels_J, grid_connected, strict=True)):
-        if not (0 <= level <= capacity_J):
+        if not (0.0 <= level <= capacity_J):
             raise ValueError(f"station {i}: level {level} outside [0, {capacity_J}]")
         if level > up_J:
             roles[i] = "source"
@@ -163,9 +163,9 @@ def battery_steps(
     for i, (level, h, c, flow, on_grid) in enumerate(
         zip(levels_J, harvested_J, consumed_J, transferred_J, grid_connected, strict=True)
     ):
-        if not (0 <= level <= capacity_J):
+        if not (0.0 <= level <= capacity_J):
             raise ValueError(f"station {i}: level {level} outside [0, {capacity_J}]")
-        if h < 0 or c < 0:
+        if h < 0.0 or c < 0.0:
             raise ValueError(f"station {i}: harvested_J and consumed_J must be >= 0")
         raw = level + h - c + flow
         # conditional expressions in place of two-argument min/max: max(a, b)

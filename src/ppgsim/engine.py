@@ -209,24 +209,27 @@ def config_from_items(items: Mapping[str, str]) -> SimConfig:
 
 @dataclass
 class SlotMetrics:
-    """One row per slot; per-station vectors are indexed by station id."""
+    """One row per slot; per-station vectors are indexed by station id.
+
+    The vectors are the step's own lists, not copies; nothing mutates them.
+    """
 
     slot: int
-    level_J: tuple[float, ...]
-    level_end_J: tuple[float, ...]
-    queue_J: tuple[float, ...]
-    role: tuple[str, ...]
-    demand_J: tuple[float, ...]
-    delivered_J: tuple[float, ...]
-    flow_J: tuple[float, ...]
-    purchase_J: tuple[float, ...]
-    harvest_J: tuple[float, ...]
-    consumption_J: tuple[float, ...]
+    level_J: Sequence[float]
+    level_end_J: Sequence[float]
+    queue_J: Sequence[float]
+    role: Sequence[str]
+    demand_J: Sequence[float]
+    delivered_J: Sequence[float]
+    flow_J: Sequence[float]
+    purchase_J: Sequence[float]
+    harvest_J: Sequence[float]
+    consumption_J: Sequence[float]
     association: frozenset[int]
-    outage_ids: tuple[int, ...]
-    shortfall_ids: tuple[int, ...]
-    clamped_ids: tuple[int, ...]
-    capped_ids: tuple[int, ...]
+    outage_ids: Sequence[int]
+    shortfall_ids: Sequence[int]
+    clamped_ids: Sequence[int]
+    capped_ids: Sequence[int]
     n_overruns: int
 
     @property
@@ -365,8 +368,8 @@ class Simulation:
                     )
         # each station's load cluster: consumption is computed once per cluster
         self.cluster_of = [profiles.assignment[i] for i in self.ids]
-        self.queues = VirtualQueues(range(config.n_bs))
-        self.prev_consumption: dict[int, float] = dict.fromkeys(range(config.n_bs), 0.0)
+        self.queues = VirtualQueues(config.n_bs)
+        self.prev_consumption: list[float] = [0.0] * config.n_bs
         jitter_rng = random.Random(derive_seed(config.seed, _SEED_JITTER))
         self.jitter = [
             1.0
@@ -397,7 +400,9 @@ class Simulation:
         n = cfg.n_bs
         cap, low, up = cfg.beta_max_J, cfg.beta_low_J, cfg.beta_up_J
         on_grid = self.on_grid
-        levels_start = tuple(self.levels)
+        # no per-station list is mutated once built: battery_steps and the
+        # queue advance return new ones, so the slot's metrics need no copies
+        levels_start = self.levels
 
         # mobility first: the association set is this slot's priority input
         log = self.serving_log
@@ -453,28 +458,28 @@ class Simulation:
         delivered = [0.0] * n
         for d in decisions:
             delivered[d.consumer_id] += d.delivered_J
-        queue_snapshot = tuple(self.queues.values.values())
+        queue_start = self.queues.values
         self.queues.advance_all(delivered, cap)
 
-        self.prev_consumption = dict(enumerate(consumption))
+        self.prev_consumption = consumption
 
         return SlotMetrics(
             slot=t,
             level_J=levels_start,
-            level_end_J=tuple(self.levels),
-            queue_J=queue_snapshot,
-            role=tuple(roles),
-            demand_J=tuple(demand),
-            delivered_J=tuple(delivered),
-            flow_J=tuple(flows),
-            purchase_J=tuple(purchases),
-            harvest_J=tuple(harvested),
-            consumption_J=tuple(consumption),
+            level_end_J=self.levels,
+            queue_J=queue_start,
+            role=roles,
+            demand_J=demand,
+            delivered_J=delivered,
+            flow_J=flows,
+            purchase_J=purchases,
+            harvest_J=harvested,
+            consumption_J=consumption,
             association=serving,
-            outage_ids=tuple(outage_ids),
-            shortfall_ids=tuple(sorted({d.consumer_id for d in decisions if d.shortfall})),
-            clamped_ids=tuple(clamped),
-            capped_ids=tuple(capped),
+            outage_ids=outage_ids,
+            shortfall_ids=sorted({d.consumer_id for d in decisions if d.shortfall}),
+            clamped_ids=clamped,
+            capped_ids=capped,
             n_overruns=sum(1 for job in outcome.jobs if job.overrun),
         ), outcome
 

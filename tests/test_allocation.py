@@ -168,7 +168,8 @@ class TestLyapunovAllocate:
         demands = {1: 20e3, 2: 20e3}
         surpluses = {0: 25e3}
         decisions, outages = allocate_slot(
-            "lyapunov", demands, frozenset(), surpluses, (1, 3), FRACTION, {}, {}, 1.0, random.Random(1)
+            "lyapunov", demands, frozenset(), surpluses, (1, 3), FRACTION,
+            {1: 0.0, 2: 0.0}, {1: 0.0, 2: 0.0}, 1.0, random.Random(1),
         )
         total_gross = sum(d.gross_J for d in decisions if d.source_id == 0)
         assert total_gross <= 25e3 + 1e-9
@@ -398,13 +399,14 @@ class TestMatchesSortedScan:
     def test_shortfall_fallback(self):
         # no source can cover 50 kJ: the nearest one gives everything it has,
         # although a larger source sits farther out
-        slot = ({0: 50e3}, frozenset(), {2: 20e3, 11: 40e3}, (2, 6), {}, {}, 1.0)
+        slot = ({0: 50e3}, frozenset(), {2: 20e3, 11: 40e3}, (2, 6), {0: 0.0}, {0: 0.0}, 1.0)
         (decisions, outages), old = run_both("lyapunov", slot)
         assert (decisions, outages) == old
         assert [(d.source_id, d.shortfall) for d in decisions] == [(2, True)]
 
     def test_outages_once_sources_are_spent(self):
-        slot = ({0: 30e3, 5: 30e3, 7: 30e3}, frozenset({7}), {3: 20e3}, (2, 4), {}, {}, 1.0)
+        zeros = {0: 0.0, 5: 0.0, 7: 0.0}
+        slot = ({0: 30e3, 5: 30e3, 7: 30e3}, frozenset({7}), {3: 20e3}, (2, 4), zeros, zeros, 1.0)
         (decisions, outages), old = run_both("lyapunov", slot)
         assert (decisions, outages) == old
         assert [d.consumer_id for d in decisions] == [7]
@@ -451,7 +453,7 @@ class TestRingSearch:
 
 def walk(consumer, demand_J, surpluses, shape):
     """Rings the lyapunov pick walked for a lone consumer, and the slot's decisions."""
-    slot = ({consumer: demand_J}, frozenset(), surpluses, shape, {}, {}, 1.0)
+    slot = ({consumer: demand_J}, frozenset(), surpluses, shape, {consumer: 0.0}, {consumer: 0.0}, 1.0)
     walked, decisions = walks_and_decisions(slot)
     return [d for _, d in walked], decisions
 
@@ -553,7 +555,8 @@ class TestLazyTopSurplus:
     def test_stale_top_is_caught(self):
         # consumer 6 drains the big source at 7; consumer 0 then finds the
         # small one at 3, and only a fresh maximum stops its walk there
-        slot = ({6: 99e3, 0: 20e3}, frozenset({6}), {7: 100e3, 3: 5e3}, (1, 8), {}, {}, 1.0)
+        zeros = {6: 0.0, 0: 0.0}
+        slot = ({6: 99e3, 0: 20e3}, frozenset({6}), {7: 100e3, 3: 5e3}, (1, 8), zeros, zeros, 1.0)
         walked, decisions = walks_and_decisions(slot)
         assert walked == oracle_walks(slot) == [(6, 1), (0, 1), (0, 2), (0, 3)]
         stale_walked, stale_decisions = walks_and_decisions(slot, stale_max())
@@ -573,7 +576,8 @@ QUEUE_INPUTS = st.floats(0.0, 1e6) | st.sampled_from([0.0, -0.0, 490e3, math.inf
 
 class TestVirtualQueues:
     def test_starts_at_zero_and_advances(self):
-        q = VirtualQueues([1, 2])
+        q = VirtualQueues(3)
+        assert q.values == [0.0, 0.0, 0.0]
         assert q.get(1) == 0.0
         q.advance(1, 500e3, 490e3)
         assert q.get(1) == pytest.approx(10e3)
@@ -584,31 +588,39 @@ class TestVirtualQueues:
         st.floats(0, 1e6),
     )
     def test_advance_all_matches_queue_update(self, rounds, cap):
-        q = VirtualQueues(range(len(rounds)))
+        q = VirtualQueues(len(rounds))
         for delivered in (list(r) for r in zip(*rounds)):
-            before = dict(q.values)
+            before = list(q.values)
             q.advance_all(delivered, cap)
-            assert q.values == {i: queue_update(before[i], d, cap) for i, d in enumerate(delivered)}
+            assert q.values == [queue_update(before[i], d, cap) for i, d in enumerate(delivered)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(QUEUE_INPUTS, QUEUE_INPUTS), min_size=1, max_size=12), QUEUE_INPUTS)
     def test_advance_all_matches_queue_update_bit_for_bit(self, stations, cap):
-        q = VirtualQueues(range(len(stations)))
-        q.values = {i: start for i, (start, _) in enumerate(stations)}
+        q = VirtualQueues(len(stations))
+        q.values = [start for start, _ in stations]
         q.advance_all([delivered for _, delivered in stations], cap)
-        assert [bits(v) for v in q.values.values()] == [
+        assert [bits(v) for v in q.values] == [
             bits(queue_update(start, delivered, cap)) for start, delivered in stations
         ]
 
+    def test_advance_all_leaves_the_slot_start_list_alone(self):
+        # the engine keeps the list it read before the advance as the slot's queue snapshot
+        q = VirtualQueues(2)
+        q.values = start = [5.0, 0.0]
+        q.advance_all([10.0, 3.0], 1.0)
+        assert start == [5.0, 0.0]
+        assert q.values == [14.0, 2.0]
+
     def test_signed_zero_queue_kept(self):
         # max(-0.0, 0.0) returns its first argument, so a -0.0 queue stays -0.0
-        q = VirtualQueues([0])
+        q = VirtualQueues(1)
         q.values[0] = -0.0
         q.advance_all([-0.0], 0.0)
         assert bits(q.values[0]) == bits(-0.0) == bits(queue_update(-0.0, -0.0, 0.0))
 
     def test_advance_all_rejects_negative_inputs(self):
-        q = VirtualQueues([0, 1])
+        q = VirtualQueues(2)
         with pytest.raises(ValueError):
             q.advance_all([0.0, -1.0], 490e3)
         with pytest.raises(ValueError):
@@ -645,3 +657,9 @@ def test_decision_validates_inputs():
         AllocationDecision(0, 1, 10.0, 1.5, 1)
     with pytest.raises(ValueError):
         AllocationDecision(0, 1, 10.0, 0.9, -1)
+
+
+@pytest.mark.parametrize("gross", [math.nan, math.inf, -math.inf])
+def test_decision_rejects_non_finite_gross(gross):
+    with pytest.raises(ValueError, match="gross_J must be positive"):
+        AllocationDecision(0, 1, gross, 0.5, 1)

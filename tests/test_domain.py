@@ -433,3 +433,111 @@ class TestRolesOf:
     def test_rejects_vectors_of_different_lengths(self):
         with pytest.raises(ValueError):
             roles_of([0.0, 0.0], [False], CAP, LOW, UP)
+
+
+# roles_of and battery_steps as they were with int literals in their guards
+# (0 <= level, h < 0 or c < 0), kept as the oracle that comparing float to
+# float changes no result and no message
+
+
+def int_guard_roles_of(levels_J, grid_connected, capacity_J, low_J, up_J):
+    n = len(levels_J)
+    roles = ["neutral"] * n
+    demand = [0.0] * n
+    demands = {}
+    surpluses = {}
+    for i, (level, on_grid) in enumerate(zip(levels_J, grid_connected, strict=True)):
+        if not (0 <= level <= capacity_J):
+            raise ValueError(f"station {i}: level {level} outside [0, {capacity_J}]")
+        if level > up_J:
+            roles[i] = "source"
+            surpluses[i] = level - up_J
+        elif level < low_J and not on_grid:
+            roles[i] = "consumer"
+            demands[i] = demand[i] = low_J - level
+    return roles, demand, demands, surpluses
+
+
+def int_guard_battery_steps(
+    levels_J, harvested_J, consumed_J, transferred_J, grid_connected, capacity_J, up_threshold_J
+):
+    n = len(levels_J)
+    levels = [0.0] * n
+    purchases = [0.0] * n
+    clamped = []
+    capped = []
+    for i, (level, h, c, flow, on_grid) in enumerate(
+        zip(levels_J, harvested_J, consumed_J, transferred_J, grid_connected, strict=True)
+    ):
+        if not (0 <= level <= capacity_J):
+            raise ValueError(f"station {i}: level {level} outside [0, {capacity_J}]")
+        if h < 0 or c < 0:
+            raise ValueError(f"station {i}: harvested_J and consumed_J must be >= 0")
+        raw = level + h - c + flow
+        if on_grid:
+            floor = 0.0 if 0.0 > raw else raw
+            held = capacity_J if capacity_J < floor else floor
+            gap = up_threshold_J - held
+            purchases[i] = purchase = 0.0 if 0.0 > gap else gap
+            topped = floor + purchase
+            levels[i] = capacity_J if capacity_J < topped else topped
+            raw += purchase
+        else:
+            capped_raw = capacity_J if capacity_J < raw else raw
+            levels[i] = 0.0 if 0.0 > capped_raw else capped_raw
+        if raw < 0.0:
+            clamped.append(i)
+        if raw > capacity_J:
+            capped.append(i)
+    return levels, purchases, clamped, capped
+
+
+# each edge of the guards: signed zeros, the smallest subnormals, NaN, the
+# infinities, the capacity and one ulp either side of it, and the ints 0 and 1
+GUARD_EDGES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+    CAP, math.nextafter(CAP, math.inf), math.nextafter(CAP, 0.0), 0, 1,
+])
+GUARD_CAPS = st.sampled_from([CAP, math.inf])
+
+
+def exact(value):
+    """A kernel result with each float as its bytes and each other scalar tagged with its type."""
+    if isinstance(value, float):
+        return bits(value)
+    if isinstance(value, dict):
+        return [(key, exact(v)) for key, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    return type(value).__name__, value
+
+
+def kernel_outcome(fn, *args):
+    try:
+        return exact(fn(*args))
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+class TestFloatGuards:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(GUARD_EDGES, st.booleans()), min_size=1, max_size=6), GUARD_CAPS)
+    def test_roles_of_matches_int_guards(self, stations, cap):
+        levels, on_grid = [s[0] for s in stations], [s[1] for s in stations]
+        assert kernel_outcome(roles_of, levels, on_grid, cap, LOW, UP) == kernel_outcome(
+            int_guard_roles_of, levels, on_grid, cap, LOW, UP
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(GUARD_EDGES, GUARD_EDGES, GUARD_EDGES, GUARD_EDGES, st.booleans()),
+            min_size=1, max_size=6,
+        ),
+        GUARD_CAPS,
+    )
+    def test_battery_steps_matches_int_guards(self, stations, cap):
+        vectors = [[station[k] for station in stations] for k in range(5)]
+        assert kernel_outcome(battery_steps, *vectors, cap, UP) == kernel_outcome(
+            int_guard_battery_steps, *vectors, cap, UP
+        )

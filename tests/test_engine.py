@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -218,10 +219,11 @@ class TestStepSemantics:
         stations = reference_stations(cfg)
         for t in range(cfg.horizon_slots):
             metrics, _ = sim.step(t)
-            assert metrics.consumption_J == tuple(
+            # element by element: the step hands over its own list
+            assert list(metrics.consumption_J) == [
                 cfg.idle_energy_J + profiles.load_at(bs.id, t) * cfg.max_load_energy_J
                 for bs in stations
-            )
+            ]
 
     def test_station_state_built_from_config(self):
         cfg = SimConfig(rows=3, cols=5, on_grid_ids=(2, 7), initial_fill_fraction=0.4, horizon_slots=1)
@@ -492,3 +494,46 @@ class TestStepContract:
         # write_outputs returns {name: path}, emit_plot_data a list of paths
         paths = [p for r in returned for p in (r.values() if isinstance(r, dict) else r)]
         assert sorted(paths) == sorted(out.iterdir())
+
+
+# struct formats of the per-station vectors, by SlotMetrics annotation
+_PACKED = {"Sequence[float]": "d", "Sequence[int]": "q"}
+
+
+def slot_bytes(metrics):
+    """Every field of one slot's metrics, each numeric vector packed into bytes as it is now."""
+    snapshot = []
+    for f in dataclasses.fields(metrics):
+        value = getattr(metrics, f.name)
+        if f.type in _PACKED:
+            value = struct.pack(f"<{len(value)}{_PACKED[f.type]}", *value)
+        elif f.type == "Sequence[str]":
+            value = tuple(value)
+        snapshot.append((f.name, value))
+    return snapshot
+
+
+class TestSlotVectorsStayPut:
+    """The step hands the sink the lists it built, uncopied; none may change afterwards."""
+
+    def test_stored_slots_keep_the_bytes_they_arrived_with(self, reference_config):
+        cfg = dataclasses.replace(reference_config, horizon_slots=60, initial_fill_fraction=0.32)
+        sim = Simulation(cfg)
+        # in a run the queues stay at zero (a slot delivers less than the cap
+        # drains), so start them high: every advance then changes every value
+        sim.queues.values = [1e8 + i for i in range(cfg.n_bs)]
+        arrived = []
+
+        class RecordingSink(engine.ResultSink):
+            def slot(self, metrics, jobs, trajectory):
+                arrived.append(slot_bytes(metrics))
+                super().slot(metrics, jobs, trajectory)
+
+        result = sim.run(sink=RecordingSink(cfg))
+        assert [slot_bytes(m) for m in result.slots] == arrived
+        for now, after in zip(result.slots, result.slots[1:]):
+            assert now.level_end_J == after.level_J
+        # the run moved what a shared list would let go stale
+        assert len({tuple(m.level_J) for m in result.slots}) == cfg.horizon_slots
+        assert len({tuple(m.queue_J) for m in result.slots}) == cfg.horizon_slots
+        assert any(m.delivered_J.count(0.0) < cfg.n_bs for m in result.slots)
