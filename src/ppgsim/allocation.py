@@ -93,14 +93,28 @@ class VirtualQueues:
 
         values becomes a new list, so a list read before the advance keeps
         the slot-start queues. Queues never go negative, so only the slot's
-        inputs are checked.
+        inputs are checked; NaN passes, as in queue_update.
         """
-        if cap_J < 0 or min(delivered_J, default=0.0) < 0:
+        values = self.values
+        if len(delivered_J) != len(values):
+            raise ValueError(f"need one delivery per queue: {len(values)}, got {len(delivered_J)}")
+        if cap_J < 0.0:
+            raise ValueError("queue inputs must be >= 0")
+        if not any(delivered_J):
+            # every delivery a signed zero, as in a slot without transfers:
+            # signed-zero queues then drain to +0.0 against any cap above
+            # zero (at cap 0.0, -0.0 stays -0.0), as every queue does in a run
+            if 0.0 < cap_J and not any(values):
+                self.values = [0.0] * len(values)
+                return
+        # min() is NaN only when the list starts with NaN, which hides any
+        # negative entry after it; only then is each entry compared
+        elif not min(delivered_J) >= 0.0 and any(map((0.0).__gt__, delivered_J)):
             raise ValueError("queue inputs must be >= 0")
         # max(q, 0.0) returns 0.0 only when 0.0 > q: the same bits, -0.0 and NaN included
         self.values = [
             0.0 if 0.0 > (q := value + delivered - cap_J) else q
-            for value, delivered in zip(self.values, delivered_J)
+            for value, delivered in zip(values, delivered_J)
         ]
 
 
@@ -380,10 +394,6 @@ def allocate_slot(
     if policy not in PICKS:
         raise ConfigError(f"unknown policy {policy!r}; pick one of {POLICIES}")
     pick = PICKS[policy](shape, fraction_of, queues, consumptions, lam, rng)
-    # a slot without consumers: the pick is built first, so a bad argument
-    # (a negative lam) still raises
-    if not demands:
-        return [], []
     available = {s: a for s, a in surpluses.items() if a > 0.0}
     decisions: list[AllocationDecision] = []
     outages: list[int] = []

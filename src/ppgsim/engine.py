@@ -5,8 +5,10 @@ Event order inside one slot is a frozen contract:
 1. read every battery level (the slot's reported state)
 2. advance vehicle groups and compute the association set
 3. classify station roles from the reported levels
-4. allocate transfers under the configured policy
-5. execute transfers over the grid (TDM mini-slot scheduling)
+4. allocate transfers under the configured policy (only in a slot with
+   consumers)
+5. execute transfers over the grid (TDM mini-slot scheduling; only in a
+   slot with decisions, which first clears the links reserved before)
 6. sample the slot's load and harvest
 7. update batteries; grid-connected stations purchase up to their
    upper threshold on the provisional end-of-slot level
@@ -415,30 +417,40 @@ class Simulation:
 
         roles, demand, demands, surpluses = domain.roles_of(levels_start, on_grid, cap, low, up)
 
-        decisions, outage_ids = allocation.allocate_slot(
-            cfg.policy,
-            demands,
-            serving,
-            surpluses,
-            (cfg.rows, cfg.cols),
-            self.fractions.__getitem__,
-            self.queues.values,
-            self.prev_consumption,
-            cfg.lam,
-            self.policy_rng,
-        )
+        # a slot without consumers trades nothing and draws nothing from the
+        # policy rng; the config already checked the policy and lam
+        if demands:
+            decisions, outage_ids = allocation.allocate_slot(
+                cfg.policy,
+                demands,
+                serving,
+                surpluses,
+                (cfg.rows, cfg.cols),
+                self.fractions.__getitem__,
+                self.queues.values,
+                self.prev_consumption,
+                cfg.lam,
+                self.policy_rng,
+            )
+        else:
+            decisions, outage_ids = [], []
 
-        self.grid.clear_reservations()
-        outcome = transfer.execute_transfers(
-            decisions,
-            self.grid,
-            self.positions,
-            t,
-            cfg.mini_slot_s,
-            cfg.xi_s,
-            cfg.phi_max_J,
-            cfg.delta_s,
-        )
+        # a slot without decisions reserves no link, so the links a busy slot
+        # reserved may stay until the next busy slot clears them
+        if decisions:
+            self.grid.clear_reservations()
+            outcome = transfer.execute_transfers(
+                decisions,
+                self.grid,
+                self.positions,
+                t,
+                cfg.mini_slot_s,
+                cfg.xi_s,
+                cfg.phi_max_J,
+                cfg.delta_s,
+            )
+        else:
+            outcome = transfer.TransferOutcome(t)
         flows = [0.0] * n
         for i, flow in outcome.net_flow_J.items():
             flows[i] = flow

@@ -572,6 +572,21 @@ def bits(x):
 
 # queue inputs that pass every check: signed zeros, infinity and NaN included
 QUEUE_INPUTS = st.floats(0.0, 1e6) | st.sampled_from([0.0, -0.0, 490e3, math.inf, math.nan])
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+# caps on both sides of the all-zero short cut, which needs 0.0 < cap
+SHORT_CUT_CAPS = st.sampled_from([0.0, -0.0, 5e-324, 490e3, math.inf, math.nan])
+
+
+@st.composite
+def zero_stations(draw):
+    """(queue, delivery) pairs of signed zeros, at most one entry swapped for a non-zero, NaN or inf."""
+    stations = draw(st.lists(st.tuples(SIGNED_ZEROS, SIGNED_ZEROS), min_size=1, max_size=12))
+    odd = draw(st.none() | st.sampled_from([5e-324, 1.0, 490e3, math.nan, math.inf]))
+    if odd is not None:
+        i = draw(st.integers(0, len(stations) - 1))
+        queue, delivered = stations[i]
+        stations[i] = (odd, delivered) if draw(st.booleans()) else (queue, odd)
+    return stations
 
 
 class TestVirtualQueues:
@@ -625,6 +640,48 @@ class TestVirtualQueues:
             q.advance_all([0.0, -1.0], 490e3)
         with pytest.raises(ValueError):
             q.advance_all([0.0, 0.0], -1.0)
+        # min() of a list led by NaN is NaN, which must not hide a negative entry
+        for delivered in ([math.nan, -1.0], [-1.0, math.nan], [-5e-324, 0.0]):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                q.advance_all(delivered, 1.0)
+        assert q.values == [0.0, 0.0]
+
+    def test_advance_all_rejects_a_delivery_list_of_another_length(self):
+        q = VirtualQueues(3)
+        for delivered in ([0.0, 0.0], [0.0] * 4):
+            with pytest.raises(ValueError, match="one delivery per queue"):
+                q.advance_all(delivered, 490e3)
+        assert q.values == [0.0] * 3
+
+    @settings(max_examples=400, deadline=None)
+    @given(zero_stations(), SHORT_CUT_CAPS)
+    def test_all_zero_short_cut_matches_queue_update_bit_for_bit(self, stations, cap):
+        q = VirtualQueues(len(stations))
+        q.values = start = [queue for queue, _ in stations]
+        q.advance_all([delivered for _, delivered in stations], cap)
+        assert [bits(v) for v in q.values] == [
+            bits(queue_update(queue, delivered, cap)) for queue, delivered in stations
+        ]
+        assert q.values is not start
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 3),
+        st.sampled_from([-0.0, 5e-324, 1.0, math.nan, math.inf]),
+        st.lists(SIGNED_ZEROS, min_size=4, max_size=4),
+        SHORT_CUT_CAPS,
+    )
+    def test_in_place_write_between_advances_is_honoured(self, i, value, delivered, cap):
+        # values is the queues' only state: a write into the list between
+        # two advances counts in the next, after an all-zero advance too
+        q = VirtualQueues(4)
+        q.advance_all([0.0] * 4, cap)
+        q.values[i] = value
+        before = list(q.values)
+        q.advance_all(delivered, cap)
+        assert [bits(v) for v in q.values] == [
+            bits(queue_update(queue, d, cap)) for queue, d in zip(before, delivered)
+        ]
 
 
 class TestTheoremDiagnostic:

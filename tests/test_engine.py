@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppgsim import cli, engine, ingest, mobility
+from ppgsim import allocation, cli, engine, ingest, mobility, transfer
 from ppgsim.engine import (
     SimConfig,
     Simulation,
@@ -25,6 +25,7 @@ from ppgsim.engine import (
 )
 from ppgsim.errors import ConfigError
 from ppgsim.ingest import HarvestTraceSet, LoadProfileSet
+from ppgsim.topology import PpgGrid
 
 
 Station = collections.namedtuple("Station", "id node grid_connected level_J")
@@ -494,6 +495,69 @@ class TestStepContract:
         # write_outputs returns {name: path}, emit_plot_data a list of paths
         paths = [p for r in returned for p in (r.values() if isinstance(r, dict) else r)]
         assert sorted(paths) == sorted(out.iterdir())
+
+
+class TestQuietSlots:
+    """A slot without consumers calls neither the allocator nor the transfer
+    pass, and one without decisions skips the transfer pass and the link
+    clear; the slot's results are those of the full machinery."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {}
+        TestStepContract.count_calls(monkeypatch, allocation, "allocate_slot", calls)
+        TestStepContract.count_calls(monkeypatch, transfer, "execute_transfers", calls)
+        TestStepContract.count_calls(monkeypatch, PpgGrid, "clear_reservations", calls)
+        return calls
+
+    def test_quiet_reference_slot_calls_no_trade_machinery(self, monkeypatch, reference_config):
+        sim = Simulation(reference_config)
+        calls = self.counted(monkeypatch)
+        for t in range(3):
+            metrics, outcome = sim.step(t)
+            assert not any(metrics.demand_J)
+            assert type(outcome) is transfer.TransferOutcome
+            assert (outcome.slot, outcome.jobs, outcome.net_flow_J) == (t, [], {})
+            assert (metrics.outage_ids, metrics.shortfall_ids, metrics.n_overruns) == ([], [], 0)
+        assert calls == {}
+
+    def test_slot_of_outages_only_skips_the_transfer_pass(self, monkeypatch):
+        cfg = SimConfig(horizon_slots=1, idle_energy_J=0.0, on_grid_ids=())
+        sim = Simulation(cfg, *quiet_traces(cfg))
+        sim.levels = [100e3] * cfg.n_bs   # every station a consumer, none a source
+        calls = self.counted(monkeypatch)
+        metrics, outcome = sim.step(0)
+        assert sorted(metrics.outage_ids) == list(range(cfg.n_bs))
+        assert (outcome.slot, outcome.jobs, outcome.net_flow_J) == (0, [], {})
+        assert calls == {"allocate_slot": 1}
+
+    def test_links_held_over_a_quiet_slot_are_cleared_before_the_next_busy_one(self, monkeypatch):
+        cfg = SimConfig(horizon_slots=3, idle_energy_J=0.0, on_grid_ids=())
+        neutral = [245e3] * cfg.n_bs
+        # source 2 serves consumers 0 and 1; both routes hold link (0,1)-(0,2)
+        busy = [100e3, 100e3, 490e3] + neutral[3:]
+
+        def schedule(sim, clear_every_slot):
+            jobs = []
+            for t, levels in enumerate([busy, neutral, busy]):
+                sim.levels = list(levels)
+                if clear_every_slot:
+                    sim.grid.clear_reservations()
+                _, outcome = sim.step(t)
+                jobs.append([
+                    (j.job_id, j.decision, j.mini_slots, j.start_mini_slot, j.completion_s, j.status)
+                    for j in outcome.jobs
+                ])
+            return jobs
+
+        expected = schedule(Simulation(cfg, *quiet_traces(cfg)), clear_every_slot=True)
+        calls = self.counted(monkeypatch)
+        assert schedule(Simulation(cfg, *quiet_traces(cfg)), clear_every_slot=False) == expected
+        assert calls == {"allocate_slot": 2, "execute_transfers": 2, "clear_reservations": 2}
+        # the two jobs of a busy slot contend for the shared link, so any
+        # reservation left over from slot 0 would delay slot 2's jobs
+        assert [job[3] for job in expected[0]] == [0, 1]
+        assert expected[2] == expected[0] and expected[1] == []
 
 
 # struct formats of the per-station vectors, by SlotMetrics annotation

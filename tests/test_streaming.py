@@ -206,7 +206,10 @@ class TestMemory:
 
     The traces are built once, before tracing starts, and injected, so the
     peak holds only what the run itself allocates. A run of the shorter
-    horizon fills the allocator's module-level ring cache first.
+    horizon goes first, untraced, so that one-off process state is not
+    counted against it. On the reference that run trades nothing (the
+    first consumer comes at slot 201), so it never calls the allocator and
+    fills none of its caches.
     """
 
     @staticmethod
