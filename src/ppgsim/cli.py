@@ -32,17 +32,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def parse_config_file(path: str | Path) -> SimConfig:
-    """Parse a key = value scenario file into a validated SimConfig.
-
-    A run's summary.txt is a scenario file too: when the file has config.*
-    lines, only those are read (see config_from_summary).
-    """
-    lines = Path(path).read_text().splitlines()
-    if any(line.startswith("config.") for line in lines):
-        return config_from_summary(path)
+def _key_values(path: str | Path) -> dict[str, str]:
+    """The key = value pairs of a file; blank and # lines are skipped, and a
+    line without '=' or a repeated key is rejected with its line number."""
     items: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -53,17 +47,27 @@ def parse_config_file(path: str | Path) -> SimConfig:
         if key in items:
             raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
         items[key] = value.strip()
+    return items
+
+
+def parse_config_file(path: str | Path) -> SimConfig:
+    """Parse a key = value scenario file into a validated SimConfig.
+
+    A run's summary.txt is a scenario file too: when the file has config.*
+    keys, only those are read (see config_from_summary).
+    """
+    items = _key_values(path)
+    if any(key.startswith("config.") for key in items):
+        return config_from_summary(path)
     return engine.config_from_items(items)
 
 
 def config_from_summary(path: str | Path) -> SimConfig:
     """Rebuild the effective config from a summary file's config.* lines."""
-    items: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("config."):
-            key, _, value = line.partition(" = ")
-            items[key[len("config."):]] = value.strip()
-    return engine.config_from_items(items)
+    items = _key_values(path)
+    return engine.config_from_items(
+        {key.removeprefix("config."): value for key, value in items.items() if key.startswith("config.")}
+    )
 
 
 def _apply_overrides(config: SimConfig, args: argparse.Namespace) -> SimConfig:

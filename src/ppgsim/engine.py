@@ -37,7 +37,7 @@ from .domain import SimClock
 from .errors import ConfigError
 from .ingest import HarvestTraceSet, LoadProfileSet
 from .numeric import left_sum
-from .topology import LossModel, PpgGrid
+from .topology import PpgGrid
 from .transfer import LinkGrant, TransferJob
 
 # sub-seed offsets hung off the master seed, one per stochastic component
@@ -105,7 +105,10 @@ class SimConfig:
             if not (0 <= bs_id < n):
                 raise ConfigError(f"on_grid id {bs_id} outside 0..{n - 1}")
         # written so that a NaN fails each comparison
-        for key in ("tau_s", "mini_slot_s", "beta_max_J", "bs_spacing_m", "delta_s"):
+        for key in (
+            "tau_s", "mini_slot_s", "beta_max_J", "bs_spacing_m", "delta_s", "resistivity",
+            "link_length_m", "cross_section_mm2", "dc_voltage_V", "phi_max_J",
+        ):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be finite and positive, got {value}")
@@ -139,8 +142,13 @@ class SimConfig:
             raise ConfigError("need non-negative group count and >= 1 member per group")
         # delegated validations: SimClock checks the slot/mini-slot ratio,
         # LossModel checks the per-hop loss stays below 1
-        SimClock(0, self.tau_s, self.mini_slot_s)
-        self.loss_model()
+        try:
+            SimClock(0, self.tau_s, self.mini_slot_s)
+        except ValueError:
+            raise ConfigError(
+                f"tau_s must be a whole multiple of mini_slot_s, got {self.tau_s}/{self.mini_slot_s}"
+            ) from None
+        topology.loss_model_for(self.make_grid(), self.phi_max_J, self.mini_slot_s)
 
     @property
     def n_bs(self) -> int:
@@ -167,9 +175,6 @@ class SimConfig:
             cross_section_mm2=self.cross_section_mm2,
             dc_voltage_V=self.dc_voltage_V,
         )
-
-    def loss_model(self) -> LossModel:
-        return topology.loss_model_for(self.make_grid(), self.phi_max_J, self.mini_slot_s)
 
 
 # configuration fields are echoed into summaries and parsed back from
@@ -350,7 +355,7 @@ class Simulation:
         self.harvest = harvest
         self.slots_per_day = profiles.slots_per_day
         self.grid = config.make_grid()
-        self.loss = config.loss_model()
+        self.loss = topology.loss_model_for(self.grid, config.phi_max_J, config.mini_slot_s)
         # every hop count on the lattice, so allocation never re-derives a fraction
         self.fractions = [
             self.loss.delivered_fraction(d) for d in range(config.rows + config.cols - 1)
@@ -495,15 +500,14 @@ class Simulation:
             n_overruns=sum(1 for job in outcome.jobs if job.overrun),
         ), outcome
 
-    def run(self, collect_trajectories: bool = False, sink: SlotSink | None = None):
+    def run(self, sink: SlotSink | None = None):
         """Step every slot into the sink and return what its close() returns.
 
-        The default sink keeps the whole run as a RunResult (with vehicle
-        positions when collect_trajectories is set); a streaming sink keeps
-        O(stations) state however long the horizon.
+        The default sink keeps the whole run as a RunResult; a streaming
+        sink keeps O(stations) state however long the horizon.
         """
         if sink is None:
-            sink = ResultSink(self.config, collect_trajectories)
+            sink = ResultSink(self.config)
         fleet, dump = self.fleet, sink.trajectories
         if dump and self.serving_log:
             raise ValueError(
@@ -522,7 +526,6 @@ def run(
     config: SimConfig,
     profiles: LoadProfileSet | None = None,
     harvest: HarvestTraceSet | None = None,
-    collect_trajectories: bool = False,
     sink_for: SinkFactory | None = None,
 ):
     """Build and execute one run; traces may be injected for shared-trace studies.
@@ -530,7 +533,7 @@ def run(
     Returns a RunResult, or what the sink built by sink_for(config) returns.
     """
     sim = Simulation(config, profiles, harvest)
-    return sim.run(collect_trajectories, sink_for(config) if sink_for else None)
+    return sim.run(sink_for(config) if sink_for else None)
 
 
 # the only fields a variant may change: the traces and the mobility that

@@ -5,11 +5,10 @@ Nodes are (row, col) tuples; one base station sits on each node and every
 4-adjacent pair is joined by a single identical DC link. Mini-slot indices
 are 0-based throughout.
 
-Link calendar. Each PowerLink keeps its reservations twice: an int
-bitmask with bit m set while mini-slot m is held, which answers every
-overlap test with one AND, and the list of [start, end) ranges, which is
-the audit of what was reserved and words the LinkBusyError. Reservations
-never overlap, so the mask is the union of the listed ranges. A link
+Link calendar. A PowerLink's whole state is the set of mini-slots it
+holds: an int bitmask with bit m set while mini-slot m is held, which
+answers every overlap test with one AND. Who held which link and when is
+derived from the transfer jobs (transfer.job_grants), not stored. A link
 reserved for the first time since the last clear puts itself on its
 grid's dirty list, and PpgGrid.clear_reservations clears only the links
 on that list, whoever reserved them.
@@ -49,15 +48,14 @@ def link_key(a: Node, b: Node) -> LinkKey:
 class PowerLink:
     """One DC link with its TDM reservation calendar for the current slot.
 
-    At most one transfer may hold the link in any mini-slot. Reservations
-    are half-open [start, end) mini-slot ranges, mirrored in mask (bit m
-    set while mini-slot m is held), and are wiped by clear() at each slot
-    boundary. A link built by a PpgGrid shares the grid's dirty list and
-    joins it on its first reservation after a clear.
+    At most one transfer may hold the link in any mini-slot. A reservation
+    takes a half-open [start, end) mini-slot range into mask (bit m set
+    while mini-slot m is held); clear() empties it. A link built by a
+    PpgGrid shares the grid's dirty list and joins it on its first
+    reservation after a clear.
     """
 
     endpoints: LinkKey
-    _reservations: list[tuple[int, int]] = field(default_factory=list)
     mask: int = 0
     dirty: list[PowerLink] | None = field(default=None, repr=False, compare=False)
 
@@ -67,34 +65,17 @@ class PowerLink:
         if start < 0:
             raise ValueError(f"mini-slot range [{start}, {end}) starts before 0")
         bits = ((1 << (end - start)) - 1) << start
-        if self.mask & bits:
-            for s, e in self._reservations:
-                if start < e and s < end:
-                    raise LinkBusyError(
-                        f"link {self.endpoints} busy in [{s}, {e}), "
-                        f"requested [{start}, {end})"
-                    )
+        if clash := self.mask & bits:
+            raise LinkBusyError(
+                f"link {self.endpoints} busy in mini-slot {(clash & -clash).bit_length() - 1}, "
+                f"requested [{start}, {end})"
+            )
         if not self.mask and self.dirty is not None:
             self.dirty.append(self)
         self.mask |= bits
-        self._reservations.append((start, end))
-
-    def release(self, start: int, end: int) -> None:
-        try:
-            self._reservations.remove((start, end))
-        except ValueError:
-            raise ValueError(
-                f"no reservation [{start}, {end}) on link {self.endpoints}"
-            ) from None
-        self.mask &= ~(((1 << (end - start)) - 1) << start)
 
     def clear(self) -> None:
-        self._reservations.clear()
         self.mask = 0
-
-    @property
-    def reservations(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self._reservations)
 
 
 @dataclass(frozen=True)

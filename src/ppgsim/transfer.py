@@ -8,13 +8,13 @@ the response deadline still completes but is flagged as an overrun.
 Losses are debited at the source: the source sends the gross amount, the
 consumer receives the surviving fraction, the difference is dissipated.
 
-Link calendar. Every link keeps a bitmask of its busy mini-slots next to
-its list of reservations (see topology). A job of y mini-slots starts at
-the first run of y zero bits in the OR of its route's masks. That equals
-the start found by a search over the reservation lists (the tests keep it
-as the oracle), which starts at 0 and, while reservations overlap the
+Link calendar. A link's calendar is the bitmask of its busy mini-slots
+(see topology). A job of y mini-slots starts at the first run of y zero
+bits in the OR of its route's masks. That equals the start found by a
+search over the [start, end) ranges reserved so far (the tests keep it
+as the oracle), which starts at 0 and, while reserved ranges overlap the
 window [start, start + y), jumps to the largest end among them. No such
-end can lie past the earliest free start f >= start, since a reservation
+end can lie past the earliest free start f >= start, since a range
 overlapping [start, start + y) and ending after f would also overlap
 [f, f + y); so the jumps never pass f and stop exactly at it. The grants
 (which link each job held, when) are derived from the jobs, not stored.
@@ -99,9 +99,6 @@ class TransferOutcome:
         """Link grants of the slot, in job order and then route order."""
         return [grant for job in self.jobs for grant in job_grants(self.slot, job)]
 
-    def flow(self, bs_id: int) -> float:
-        return self.net_flow_J.get(bs_id, 0.0)
-
 
 def _earliest_start(route: Route, length: int) -> int:
     """First mini-slot index at which every link of the route is free for `length` slots.
@@ -131,24 +128,17 @@ def execute_transfers(
 ) -> TransferOutcome:
     """Schedule and execute one slot's transfers under per-link TDM.
 
-    Links must be free at entry (the engine clears reservations at each
-    slot boundary). Every job completes within the model - energy always
+    Links must be free at entry (the engine clears them before each slot
+    that has transfers). Every job completes within the model - energy always
     arrives - but a completion time past deadline_s marks the job overrun.
     """
     outcome = TransferOutcome(slot_index)
-    if not decisions:
-        return outcome
-    # mini_slot_count and link_occupancy, inlined: phi_max_J is checked once
-    if phi_max_J <= 0:
-        raise ConfigError(f"phi_max_J must be positive, got {phi_max_J}")
     jobs, flows = outcome.jobs, outcome.net_flow_J
     for job_id, decision in enumerate(decisions):
         source, consumer, gross = decision.source_id, decision.consumer_id, decision.gross_J
-        delivered = gross * decision.fraction
+        delivered = decision.delivered_J
         route = grid.static_route(positions[source], positions[consumer])
-        if delivered < 0:
-            raise ValueError("delivered_J must be >= 0")
-        y = 0 if delivered == 0 else math.ceil(delivered / phi_max_J)
+        y = mini_slot_count(delivered, phi_max_J)
         if y > 0:
             start = _earliest_start(route, y)
             for link in route.power_links:
@@ -163,7 +153,7 @@ def execute_transfers(
                 route,
                 y,
                 start,
-                y * mini_slot_duration_s + processing_delay_s,
+                link_occupancy(y, mini_slot_duration_s, processing_delay_s),
                 completion,
                 "overrun" if completion > deadline_s else "done",
             )

@@ -43,6 +43,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_file(path)
 
+    def test_duplicate_summary_key_rejected(self, tmp_path):
+        path = tmp_path / "summary.txt"
+        path.write_text("config.seed = 3\nconfig.seed = 4\n")
+        with pytest.raises(ConfigError, match="line 2: duplicate key 'config.seed'"):
+            parse_config_file(path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("# comment\n\nseed = 9\n")
@@ -237,12 +243,21 @@ class TestTraceCommands:
         assert "tau_s must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("tau_s", "nan"), ("mini_slot_s", "nan"), ("beta_max_J", "nan"),
-         ("idle_energy_J", "-7000.0"), ("max_load_energy_J", "inf"),
-         ("lane_gap_m", "nan"), ("speed_max_mps", "inf"), ("delta_s", "inf"), ("xi_s", "nan")],
+        "key, value, message",
+        [pytest.param(key, value, f"error: {key} must be finite", id=f"{key}-{value}")
+         for key, value in [
+             ("tau_s", "nan"), ("mini_slot_s", "nan"), ("beta_max_J", "nan"),
+             ("idle_energy_J", "-7000.0"), ("max_load_energy_J", "inf"),
+             ("lane_gap_m", "nan"), ("speed_max_mps", "inf"), ("delta_s", "inf"), ("xi_s", "nan"),
+             ("resistivity", "-1"), ("resistivity", "nan"), ("link_length_m", "0"),
+             ("link_length_m", "inf"), ("cross_section_mm2", "-2"), ("dc_voltage_V", "nan"),
+             ("phi_max_J", "nan"),
+         ]]
+        + [pytest.param(
+            "mini_slot_s", "7", "error: tau_s must be a whole multiple of mini_slot_s", id="mini_slot_s-7"
+        )],
     )
-    def test_run_rejects_bad_numeric_key_by_name(self, tmp_path, capsys, key, value):
+    def test_run_rejects_bad_numeric_key_by_name(self, tmp_path, capsys, key, value, message):
         lines = write_config(tmp_path, horizon_slots=5).read_text().splitlines()
         path = tmp_path / "bad.cfg"
         path.write_text(
@@ -250,7 +265,7 @@ class TestTraceCommands:
         )
         rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_VALIDATION
-        assert f"error: {key} must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_validate_needs_an_argument(self):
         assert main(["validate-traces"]) == EXIT_VALIDATION

@@ -83,19 +83,31 @@ class TestConfigValidation:
             SimConfig(tau_s=60.0, mini_slot_s=7.0)
 
     @pytest.mark.parametrize(
-        "key, value",
+        "key, value, message",
         [
-            ("tau_s", math.nan), ("tau_s", math.inf), ("tau_s", 0.0),
-            ("mini_slot_s", math.nan), ("mini_slot_s", -5.0),
-            ("beta_max_J", math.nan), ("beta_max_J", math.inf), ("beta_max_J", 0.0),
-            ("idle_energy_J", -7000.0), ("idle_energy_J", math.nan),
-            ("max_load_energy_J", -1.0), ("max_load_energy_J", math.inf),
-            ("bs_spacing_m", math.nan), ("bs_spacing_m", 0.0),
-            ("offset_radius_m", math.nan), ("offset_radius_m", math.inf), ("offset_radius_m", -1.0),
+            pytest.param(key, value, f"^{key} must be finite", id=f"{key}-{value}")
+            for key, value in [
+                ("tau_s", math.nan), ("tau_s", math.inf), ("tau_s", 0.0),
+                ("mini_slot_s", math.nan), ("mini_slot_s", -5.0),
+                ("beta_max_J", math.nan), ("beta_max_J", math.inf), ("beta_max_J", 0.0),
+                ("idle_energy_J", -7000.0), ("idle_energy_J", math.nan),
+                ("max_load_energy_J", -1.0), ("max_load_energy_J", math.inf),
+                ("bs_spacing_m", math.nan), ("bs_spacing_m", 0.0),
+                ("offset_radius_m", math.nan), ("offset_radius_m", math.inf),
+                ("offset_radius_m", -1.0),
+                ("resistivity", -1.0), ("resistivity", math.nan),
+                ("link_length_m", 0.0), ("link_length_m", math.inf),
+                ("cross_section_mm2", -2.0), ("dc_voltage_V", math.nan), ("phi_max_J", math.nan),
+            ]
+        ]
+        + [
+            pytest.param(
+                "mini_slot_s", 7.0, "^tau_s must be a whole multiple of mini_slot_s", id="mini_slot_s-7.0"
+            )
         ],
     )
-    def test_bad_numeric_key_rejected_by_name(self, key, value):
-        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+    def test_bad_numeric_key_rejected_by_name(self, key, value, message):
+        with pytest.raises(ConfigError, match=message):
             SimConfig(**{key: value})
 
     @pytest.mark.parametrize(
@@ -373,7 +385,7 @@ class TestRunVariants:
 
         # the first variant steps its own fleet, so it can dump positions
         (_, alone), = run_variants(cfg, [{}], sink_for)
-        assert alone.trajectories == run(cfg, collect_trajectories=True).trajectories
+        assert alone.trajectories == run(cfg, sink_for=sink_for).trajectories
         with pytest.raises(ValueError, match="cannot dump trajectories"):
             run_variants(cfg, [{"policy": "lyapunov"}, {"policy": "radial"}], sink_for)
 
@@ -400,7 +412,7 @@ class TestOutputs:
     def test_trajectories_collected_on_request(self, reference_config):
         cfg = dataclasses.replace(reference_config, horizon_slots=4)
         assert run(cfg).trajectories == []
-        result = run(cfg, collect_trajectories=True)
+        result = run(cfg, sink_for=lambda c: engine.ResultSink(c, trajectories=True))
         assert len(result.trajectories) == 4 * cfg.n_vue_groups
 
 

@@ -36,7 +36,9 @@ def write_config(path: Path, config: SimConfig) -> Path:
 
 
 def stored_run_files(config: SimConfig, out: Path) -> dict[str, bytes]:
-    engine.write_outputs(engine.run(config, collect_trajectories=True), out)
+    engine.write_outputs(
+        engine.run(config, sink_for=lambda c: engine.ResultSink(c, trajectories=True)), out
+    )
     return files(out)
 
 

@@ -139,7 +139,7 @@ class TestReservations:
     def test_reserve_free_link(self):
         link = PowerLink(((0, 0), (0, 1)))
         link.reserve(0, 3)
-        assert link.reservations == ((0, 3),)
+        assert link.mask == mask_of([(0, 3)])
 
     def test_overlap_rejected(self):
         link = PowerLink(((0, 0), (0, 1)))
@@ -147,34 +147,22 @@ class TestReservations:
         with pytest.raises(LinkBusyError):
             link.reserve(2, 4)
 
-    def test_release_restores_availability(self):
-        link = PowerLink(((0, 0), (0, 1)))
-        link.reserve(0, 3)
-        link.release(0, 3)
-        link.reserve(2, 4)
-        assert link.reservations == ((2, 4),)
-
     def test_adjacent_ranges_allowed(self):
         link = PowerLink(((0, 0), (0, 1)))
         link.reserve(0, 3)
         link.reserve(3, 5)
-        assert link.reservations == ((0, 3), (3, 5))
+        assert link.mask == mask_of([(0, 3), (3, 5)])
 
     def test_empty_range_rejected(self):
         link = PowerLink(((0, 0), (0, 1)))
         with pytest.raises(ValueError):
             link.reserve(2, 2)
 
-    def test_release_unknown_range_rejected(self):
-        link = PowerLink(((0, 0), (0, 1)))
-        with pytest.raises(ValueError):
-            link.release(0, 1)
-
     def test_clear(self):
         link = PowerLink(((0, 0), (0, 1)))
         link.reserve(0, 3)
         link.clear()
-        assert link.reservations == ()
+        assert link.mask == 0
 
 
 def walk_route(a, b):
@@ -194,9 +182,9 @@ def walk_route(a, b):
 
 def list_reserve(reservations, endpoints, start, end):
     """Reserve on a plain list; returns the LinkBusyError message or None."""
-    for s, e in reservations:
-        if start < e and s < end:
-            return f"link {endpoints} busy in [{s}, {e}), requested [{start}, {end})"
+    clashes = [max(s, start) for s, e in reservations if start < e and s < end]
+    if clashes:
+        return f"link {endpoints} busy in mini-slot {min(clashes)}, requested [{start}, {end})"
     reservations.append((start, end))
     return None
 
@@ -225,18 +213,7 @@ class TestCalendar:
                 with pytest.raises(LinkBusyError) as info:
                     link.reserve(start, end)
                 assert str(info.value) == expected
-            assert link.reservations == tuple(held)
             assert link.mask == mask_of(held)
-
-    def test_release_keeps_mask(self):
-        link = PowerLink(((0, 0), (0, 1)))
-        link.reserve(0, 3)
-        link.reserve(5, 7)
-        link.release(0, 3)
-        assert link.mask == mask_of([(5, 7)])
-        link.reserve(1, 4)
-        with pytest.raises(LinkBusyError):
-            link.reserve(6, 8)
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
@@ -252,11 +229,8 @@ class TestCalendar:
                 link = grid.links[key]
                 start = data.draw(st.integers(0, 20))
                 link.reserve(start, start + data.draw(st.integers(1, 5)))
-                if data.draw(st.booleans()):
-                    link.release(*link.reservations[-1])
             grid.clear_reservations()
             for link in grid.links.values():
-                assert link.reservations == ()
                 assert link.mask == 0
 
     def test_direct_reservation_cleared_after_earlier_clear(self, grid):
@@ -265,7 +239,6 @@ class TestCalendar:
         grid.clear_reservations()
         link.reserve(4, 6)
         grid.clear_reservations()
-        assert link.reservations == ()
         assert link.mask == 0
 
     @settings(max_examples=200, deadline=None)

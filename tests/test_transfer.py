@@ -74,8 +74,8 @@ class TestExecuteTransfers:
         positions = {0: (0, 0), 1: (0, 1)}
         d = AllocationDecision(0, 1, 27e3 / FRACTION(1), FRACTION(1), 1)
         outcome = run_transfers([d], positions)
-        assert outcome.flow(1) == pytest.approx(27e3)
-        assert outcome.flow(0) == pytest.approx(-27e3 / FRACTION(1))
+        assert outcome.net_flow_J.get(1, 0.0) == pytest.approx(27e3)
+        assert outcome.net_flow_J.get(0, 0.0) == pytest.approx(-27e3 / FRACTION(1))
         job = outcome.jobs[0]
         assert job.mini_slots == 1
         assert job.start_mini_slot == 0
@@ -112,7 +112,7 @@ class TestExecuteTransfers:
         job = outcome.jobs[0]
         assert job.overrun
         assert job.mini_slots == 13
-        assert outcome.flow(1) == pytest.approx(1.25e6)
+        assert outcome.net_flow_J.get(1, 0.0) == pytest.approx(1.25e6)
 
     def test_contention_pushes_job_into_overrun(self):
         positions = {0: (0, 0), 1: (0, 1)}
@@ -133,7 +133,7 @@ class TestExecuteTransfers:
         ]
         outcome = run_transfers(decisions, positions)
         expected = sum(d.gross_J * d.fraction for d in decisions)
-        received = outcome.flow(3) + outcome.flow(1)
+        received = outcome.net_flow_J.get(3, 0.0) + outcome.net_flow_J.get(1, 0.0)
         assert received == pytest.approx(expected, rel=1e-12)
         assert sum(outcome.net_flow_J.values()) <= 0.0
 
@@ -184,28 +184,29 @@ def list_calendar_grants(decisions, grid, positions, slot, phi_max_J):
 
 @st.composite
 def calendars(draw):
-    """A route on a small grid plus non-overlapping reservations on its links."""
+    """A route on a small grid, non-overlapping reservations on its links, and those ranges."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 5))
     grid = PpgGrid(rows=rows, cols=cols)
     nodes = grid.nodes()
     a = draw(st.sampled_from(nodes))
     b = draw(st.sampled_from([n for n in nodes if n != a]))
     route = grid.static_route(a, b)
+    reservations: dict = {}
     for key in route.links():
         edge = 0
         for _ in range(draw(st.integers(0, 6))):
             start = edge + draw(st.integers(0, 8))
             edge = start + draw(st.integers(1, 20))
             grid.links[key].reserve(start, edge)
-    return grid, route
+            reservations.setdefault(key, []).append((start, edge))
+    return route, reservations
 
 
 class TestEarliestStart:
     @settings(max_examples=200, deadline=None)
     @given(calendars(), st.integers(1, 20))
     def test_matches_jump_search(self, calendar, length):
-        grid, route = calendar
-        reservations = {key: grid.links[key].reservations for key in route.links()}
+        route, reservations = calendar
         assert _earliest_start(route, length) == jump_search_start(reservations, route, length)
 
     def test_skips_to_gap_long_enough(self):
@@ -275,7 +276,7 @@ class TestDerivedGrants:
 def oracle_execute_transfers(
     decisions, grid, positions, slot_index, mini_slot_duration_s, processing_delay_s, phi_max_J, deadline_s
 ):
-    """execute_transfers as it was before its per-job arithmetic was inlined, kept as the oracle."""
+    """The schedule execute_transfers must produce, restated job by job as the oracle."""
     outcome = TransferOutcome(slot_index)
     for job_id, decision in enumerate(decisions):
         delivered = decision.delivered_J
@@ -294,8 +295,8 @@ def oracle_execute_transfers(
                 occupancy_s=occupancy, completion_s=completion, status=status,
             )
         )
-        outcome.net_flow_J[decision.consumer_id] = outcome.flow(decision.consumer_id) + delivered
-        outcome.net_flow_J[decision.source_id] = outcome.flow(decision.source_id) - decision.gross_J
+        outcome.net_flow_J[decision.consumer_id] = outcome.net_flow_J.get(decision.consumer_id, 0.0) + delivered
+        outcome.net_flow_J[decision.source_id] = outcome.net_flow_J.get(decision.source_id, 0.0) - decision.gross_J
     return outcome
 
 
@@ -337,7 +338,7 @@ def executed(fn, rows, cols, decisions, phi_max_J, timing):
         for job in outcome.jobs
     ]
     flows = [(i, bits(v)) for i, v in outcome.net_flow_J.items()]
-    calendars = [(key, link.reservations) for key, link in grid.links.items()]
+    calendars = [(key, link.mask) for key, link in grid.links.items()]
     return outcome.slot, jobs, flows, calendars, outcome.grants
 
 
