@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import allocation, engine, ingest
 from .engine import RunResult, RunSummary, SimConfig
@@ -58,16 +58,17 @@ def parse_config_file(path: str | Path) -> SimConfig:
     """
     items = _key_values(path)
     if any(key.startswith("config.") for key in items):
-        return config_from_summary(path)
+        return config_from_summary(items)
     return engine.config_from_items(items)
 
 
-def config_from_summary(path: str | Path) -> SimConfig:
-    """Rebuild the effective config from a summary file's config.* lines."""
-    items = _key_values(path)
-    return engine.config_from_items(
-        {key.removeprefix("config."): value for key, value in items.items() if key.startswith("config.")}
-    )
+def config_from_summary(summary: str | Path | Mapping[str, str]) -> SimConfig:
+    """Rebuild the effective config from the config.* lines of a summary's path or of its read pairs."""
+    items = summary if isinstance(summary, Mapping) else _key_values(summary)
+    config = {key.removeprefix("config."): value for key, value in items.items() if key.startswith("config.")}
+    if not config:
+        raise ConfigError(f"{summary}: no config.* line, so it is not a run summary")
+    return engine.config_from_items(config)
 
 
 def _apply_overrides(config: SimConfig, args: argparse.Namespace) -> SimConfig:

@@ -112,8 +112,12 @@ class SimConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be finite and positive, got {value}")
-        # a non-finite offset radius would keep the member-offset draw looping forever
-        for key in ("idle_energy_J", "max_load_energy_J", "offset_radius_m", "xi_s"):
+        # a non-finite offset radius would keep the member-offset draw looping
+        # forever; a NaN peak or off-peak fraction would reach every level
+        for key in (
+            "idle_energy_J", "max_load_energy_J", "offset_radius_m", "xi_s", "lam",
+            "solar_peak_fraction", "offpeak_threshold_fraction",
+        ):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{key} must be finite and >= 0, got {value}")
@@ -126,8 +130,6 @@ class SimConfig:
             raise ConfigError("thresholds must satisfy 0 < low < up < 1")
         if self.policy not in allocation.POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}; pick one of {allocation.POLICIES}")
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
         if self.horizon_slots < 0:
             raise ConfigError("horizon_slots must be >= 0")
         if not (0.0 <= self.initial_fill_fraction <= 1.0):
@@ -140,15 +142,23 @@ class SimConfig:
             raise ConfigError("slots_per_day must be >= 1")
         if self.n_vue_groups < 0 or self.members_per_group < 1:
             raise ConfigError("need non-negative group count and >= 1 member per group")
-        # delegated validations: SimClock checks the slot/mini-slot ratio,
-        # LossModel checks the per-hop loss stays below 1
+        # SimClock checks the slot/mini-slot ratio
         try:
             SimClock(0, self.tau_s, self.mini_slot_s)
         except ValueError:
             raise ConfigError(
                 f"tau_s must be a whole multiple of mini_slot_s, got {self.tau_s}/{self.mini_slot_s}"
             ) from None
-        topology.loss_model_for(self.make_grid(), self.phi_max_J, self.mini_slot_s)
+        # loss_model_for's per-hop loss, from the fields alone, with no grid built;
+        # a resistance or link power that underflows to 0 has no loss model either
+        resistance = topology.line_resistance(self.resistivity, self.link_length_m, self.cross_section_mm2)
+        power = self.phi_max_J / self.mini_slot_s
+        hop_loss = topology.per_hop_loss(resistance, power, self.dc_voltage_V) if resistance and power else 0.0
+        if not (0.0 < hop_loss < 1.0):
+            raise ConfigError(
+                f"per-hop loss must lie in (0, 1), got {hop_loss}; it comes from phi_max_J, "
+                "mini_slot_s, resistivity, link_length_m, cross_section_mm2 and dc_voltage_V"
+            )
 
     @property
     def n_bs(self) -> int:
@@ -256,19 +266,15 @@ class SlotMetrics:
         return left_sum(self.purchase_J)
 
 
-TrajectoryRow = tuple[int, int, float, float, int]
-
-
 @dataclass
 class RunResult:
-    """A whole run held in memory: every slot's metrics, job and vehicle position."""
+    """A whole run held in memory: every slot's metrics and every job."""
 
     config: SimConfig
     slots: list[SlotMetrics]
     jobs: list[tuple[int, TransferJob]]
     theorem: TheoremDiagnostic | None
     summary: dict[str, object] = field(default_factory=dict)
-    trajectories: list[TrajectoryRow] = field(default_factory=list)
 
     @property
     def grants(self) -> list[LinkGrant]:
@@ -328,6 +334,22 @@ def build_traces(config: SimConfig) -> tuple[LoadProfileSet, HarvestTraceSet]:
     return profiles, harvest
 
 
+def make_fleet(config: SimConfig) -> mobility.Fleet:
+    """The config's vehicle groups at slot start; no energy state ever moves them."""
+    world_length_m = max((config.cols - 1) * config.bs_spacing_m, 1.0)
+    mid_y = (config.rows - 1) * config.bs_spacing_m / 2.0
+    lane_y = (mid_y - config.lane_gap_m / 2.0, mid_y + config.lane_gap_m / 2.0)
+    # the only draws from the mobility stream: speeds, positions, offsets
+    groups = mobility.make_groups(
+        random.Random(derive_seed(config.seed, _SEED_MOBILITY)), config.n_vue_groups,
+        config.members_per_group, world_length_m, lane_y,
+        (config.speed_min_mps, config.speed_max_mps), config.offset_radius_m,
+    )
+    return mobility.Fleet(
+        groups, config.tau_s, world_length_m, config.rows, config.cols, config.bs_spacing_m
+    )
+
+
 class Simulation:
     """Mutable state of one run; strictly single-threaded and seed-deterministic."""
 
@@ -385,22 +407,7 @@ class Simulation:
             for _ in self.ids
         ]
         self.policy_rng = random.Random(derive_seed(config.seed, _SEED_POLICY))
-        world_length_m = max((config.cols - 1) * config.bs_spacing_m, 1.0)
-        mid_y = (config.rows - 1) * config.bs_spacing_m / 2.0
-        lane_y = (mid_y - config.lane_gap_m / 2.0, mid_y + config.lane_gap_m / 2.0)
-        # the only draws from the mobility stream: speeds, positions, offsets
-        groups = mobility.make_groups(
-            random.Random(derive_seed(config.seed, _SEED_MOBILITY)),
-            config.n_vue_groups,
-            config.members_per_group,
-            world_length_m,
-            lane_y,
-            (config.speed_min_mps, config.speed_max_mps),
-            config.offset_radius_m,
-        )
-        self.fleet = mobility.Fleet(
-            groups, config.tau_s, world_length_m, config.rows, config.cols, config.bs_spacing_m
-        )
+        self.fleet = make_fleet(config)
 
     def step(self, t: int) -> tuple[SlotMetrics, transfer.TransferOutcome]:
         cfg = self.config
@@ -508,14 +515,9 @@ class Simulation:
         """
         if sink is None:
             sink = ResultSink(self.config)
-        fleet, dump = self.fleet, sink.trajectories
-        if dump and self.serving_log:
-            raise ValueError(
-                "a run that replays a serving log cannot dump trajectories: its fleet never moves"
-            )
         for t in range(self.config.horizon_slots):
             metrics, outcome = self.step(t)
-            sink.slot(metrics, outcome.jobs, fleet.trajectory_rows(t) if dump else ())
+            sink.slot(metrics, outcome.jobs)
         return sink.close()
 
 
@@ -636,7 +638,7 @@ def transfer_line(slot: int, job: TransferJob) -> str:
     )
 
 
-def trajectory_line(row: TrajectoryRow) -> str:
+def trajectory_line(row: tuple[int, int, float, float, int]) -> str:
     slot, group, x, y, bs = row
     return f"{slot},{group},{x!r},{y!r},{bs}"
 
@@ -757,22 +759,19 @@ class SummaryAccumulator:
 
 
 class SlotSink(Protocol):
-    """Receives a run one slot at a time; Simulation.run returns what close() returns."""
+    """Receives a run one slot at a time; Simulation.run returns what close() returns.
 
-    # whether the run should compute each slot's vehicle positions for it
-    trajectories: bool
+    A slot is its metrics and its jobs. A sink that wants vehicle positions
+    steps a fleet of its own from make_fleet, as FileSink does.
+    """
 
-    def slot(
-        self, metrics: SlotMetrics, jobs: Sequence[TransferJob], trajectory: Sequence[TrajectoryRow]
-    ) -> None: ...
+    def slot(self, metrics: SlotMetrics, jobs: Sequence[TransferJob]) -> None: ...
 
     def close(self) -> object: ...
 
 
 class SummarySink:
     """Keeps only the running summary, and on request each slot's demand and delivered totals."""
-
-    trajectories = False
 
     def __init__(self, config: SimConfig, keep_series: bool = False) -> None:
         self.totals = SummaryAccumulator(config)
@@ -786,7 +785,7 @@ class SummarySink:
             self.delivered_series.append(row.delivered_J)
         return row
 
-    def slot(self, metrics, jobs, trajectory) -> None:
+    def slot(self, metrics, jobs) -> None:
         self.add(metrics)
 
     def close(self) -> RunSummary:
@@ -818,8 +817,10 @@ class FileSink(SummarySink):
     """Streams metrics.csv, transfers.csv and, when asked, trajectories.csv as the run steps.
 
     summary.txt needs the whole run, so write_outputs writes it from the
-    RunSummary that close() returns. The trajectories file is created with
-    its first row, so a run without vehicle rows writes none.
+    RunSummary that close() returns. The vehicle dump steps the sink's own
+    fleet (make_fleet) once per slot: positions depend on the config alone,
+    and a run_variants replay never moves the run's fleet. The file is
+    created with its first row, so a run without vehicle rows writes none.
     """
 
     def __init__(
@@ -831,7 +832,7 @@ class FileSink(SummarySink):
         keep_series: bool = False,
     ) -> None:
         super().__init__(config, keep_series)
-        self.trajectories = trajectories
+        self.fleet = make_fleet(config) if trajectories else None
         self.out_dir, self.prefix = out_dir, prefix
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         self.paths = {name: _output_path(out_dir, prefix, name) for name in ("metrics", "transfers")}
@@ -839,15 +840,16 @@ class FileSink(SummarySink):
         self._transfers = _open_stream(self.paths["transfers"], _TRANSFERS_HEADER)
         self._trajectories: TextIO | None = None
 
-    def slot(self, metrics, jobs, trajectory) -> None:
+    def slot(self, metrics, jobs) -> None:
         self._metrics.write(metrics_line(self.add(metrics)) + "\n")
         for job in jobs:
             self._transfers.write(transfer_line(metrics.slot, job) + "\n")
-        if trajectory:
-            if self._trajectories is None:
-                self.paths["trajectories"] = _output_path(self.out_dir, self.prefix, "trajectories")
-                self._trajectories = _open_stream(self.paths["trajectories"], _TRAJECTORIES_HEADER)
-            for row in trajectory:
+        if self.fleet is not None:
+            self.fleet.step()
+            for row in self.fleet.trajectory_rows(metrics.slot):
+                if self._trajectories is None:
+                    self.paths["trajectories"] = _output_path(self.out_dir, self.prefix, "trajectories")
+                    self._trajectories = _open_stream(self.paths["trajectories"], _TRAJECTORIES_HEADER)
                 self._trajectories.write(trajectory_line(row) + "\n")
 
     def close(self) -> RunSummary:
@@ -860,24 +862,21 @@ class FileSink(SummarySink):
 
 
 class ResultSink(SummarySink):
-    """Keeps every slot, job and vehicle row: the in-memory RunResult."""
+    """Keeps every slot and job: the in-memory RunResult."""
 
-    def __init__(self, config: SimConfig, trajectories: bool = False) -> None:
+    def __init__(self, config: SimConfig) -> None:
         super().__init__(config)
-        self.trajectories = trajectories
         self.slots: list[SlotMetrics] = []
         self.jobs: list[tuple[int, TransferJob]] = []
-        self.rows: list[TrajectoryRow] = []
 
-    def slot(self, metrics, jobs, trajectory) -> None:
+    def slot(self, metrics, jobs) -> None:
         self.add(metrics)
         self.slots.append(metrics)
         self.jobs.extend((metrics.slot, job) for job in jobs)
-        self.rows.extend(trajectory)
 
     def close(self) -> RunResult:
         done = super().close()
-        return RunResult(done.config, self.slots, self.jobs, done.theorem, done.summary, self.rows)
+        return RunResult(done.config, self.slots, self.jobs, done.theorem, done.summary)
 
 
 def _replay(result: RunResult, sink: SlotSink):
@@ -885,11 +884,8 @@ def _replay(result: RunResult, sink: SlotSink):
     jobs: dict[int, list[TransferJob]] = {}
     for slot, job in result.jobs:
         jobs.setdefault(slot, []).append(job)
-    rows: dict[int, list[TrajectoryRow]] = {}
-    for row in result.trajectories:
-        rows.setdefault(row[0], []).append(row)
     for m in result.slots:
-        sink.slot(m, jobs.get(m.slot, ()), rows.get(m.slot, ()))
+        sink.slot(m, jobs.get(m.slot, ()))
     return sink.close()
 
 

@@ -54,6 +54,27 @@ class TestConfigFile:
         path.write_text("# comment\n\nseed = 9\n")
         assert parse_config_file(path).seed == 9
 
+    def test_summary_file_is_read_once(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, seed=3)
+        path.write_text("".join(f"config.{line}\n" for line in path.read_text().splitlines()))
+        reads = []
+        original = type(path).read_text
+
+        def counted(self, *args, **kwargs):
+            reads.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(path), "read_text", counted)
+        assert parse_config_file(path) == SimConfig(seed=3)
+        assert reads == [path]
+
+    def test_config_from_summary_rejects_a_file_without_config_lines(self):
+        # a scenario file has no config.* line; its own keys (seed 7) are
+        # not the defaults, so returning SimConfig() would be a silent error
+        assert parse_config_file("configs/table1.cfg").seed == 7
+        with pytest.raises(ConfigError, match="^configs/table1.cfg: no config.* line"):
+            config_from_summary("configs/table1.cfg")
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("seed 9\n")

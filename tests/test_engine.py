@@ -98,6 +98,7 @@ class TestConfigValidation:
                 ("resistivity", -1.0), ("resistivity", math.nan),
                 ("link_length_m", 0.0), ("link_length_m", math.inf),
                 ("cross_section_mm2", -2.0), ("dc_voltage_V", math.nan), ("phi_max_J", math.nan),
+                ("lam", -0.1), ("solar_peak_fraction", -0.1), ("offpeak_threshold_fraction", -1.0),
             ]
         ]
         + [
@@ -111,12 +112,35 @@ class TestConfigValidation:
             SimConfig(**{key: value})
 
     @pytest.mark.parametrize(
-        "key", ["lane_gap_m", "speed_min_mps", "speed_max_mps", "delta_s", "xi_s"]
+        "key",
+        [
+            "lane_gap_m", "speed_min_mps", "speed_max_mps", "delta_s", "xi_s",
+            "lam", "solar_peak_fraction", "offpeak_threshold_fraction",
+        ],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_key_rejected_by_name(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be finite"):
             SimConfig(**{key: value})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"phi_max_J": 1e12}, {"resistivity": 10.0}, {"dc_voltage_V": 10.0},
+            {"mini_slot_s": 1e-6, "tau_s": 1e-6},
+            {"resistivity": 1e-200, "link_length_m": 1e-200},
+            {"phi_max_J": 1e-300, "mini_slot_s": 1e300, "tau_s": 1e300},
+        ],
+        ids=["phi_max_J", "resistivity", "dc_voltage_V", "mini_slot_s", "zero-resistance", "zero-power"],
+    )
+    def test_per_hop_loss_of_one_or_more_names_its_keys(self, overrides):
+        keys = "phi_max_J, mini_slot_s, resistivity, link_length_m, cross_section_mm2 and dc_voltage_V"
+        with pytest.raises(ConfigError, match=f"^per-hop loss must lie in \\(0, 1\\), got .*; it comes from {keys}$"):
+            SimConfig(**overrides)
+
+    def test_loss_check_builds_no_grid(self, monkeypatch):
+        monkeypatch.setattr(PpgGrid, "__init__", lambda *args, **kwargs: pytest.fail("grid built"))
+        SimConfig(rows=20, cols=30)
 
     def test_deadline_past_slot_end_accepted(self):
         # delta_s only decides which jobs are flagged as overruns; a deadline
@@ -377,17 +401,21 @@ class TestRunVariants:
             run_variants(SimConfig(horizon_slots=3), overrides)
         assert steps == []
 
-    def test_replaying_variant_refuses_trajectories(self):
-        cfg = SimConfig(horizon_slots=4)
-
-        def sink_for(config):
-            return engine.ResultSink(config, trajectories=True)
-
-        # the first variant steps its own fleet, so it can dump positions
-        (_, alone), = run_variants(cfg, [{}], sink_for)
-        assert alone.trajectories == run(cfg, sink_for=sink_for).trajectories
-        with pytest.raises(ValueError, match="cannot dump trajectories"):
-            run_variants(cfg, [{"policy": "lyapunov"}, {"policy": "radial"}], sink_for)
+    def test_every_compare_variant_dumps_the_lone_run_trajectories(self, tmp_path):
+        # only the first variant steps the run's fleet; a later one replays
+        # the serving log, so its dump must come from the sink's own fleet
+        cfg = SimConfig(horizon_slots=6)
+        run(cfg, sink_for=lambda c: engine.FileSink(c, tmp_path / "alone", trajectories=True))
+        alone = (tmp_path / "alone" / "trajectories.csv").read_bytes()
+        assert len(alone.splitlines()) == 1 + 6 * cfg.n_vue_groups
+        out = tmp_path / "compare"
+        compare(
+            cfg,
+            allocation.POLICIES,
+            sink_for=lambda c: engine.FileSink(c, out, prefix=c.policy, trajectories=True),
+        )
+        for policy in allocation.POLICIES:
+            assert (out / f"{policy}_trajectories.csv").read_bytes() == alone
 
 
 class TestOutputs:
@@ -409,11 +437,15 @@ class TestOutputs:
         for line in summary_rows(run(cfg)):
             assert " = " in line
 
-    def test_trajectories_collected_on_request(self, reference_config):
+    def test_trajectories_collected_on_request(self, tmp_path, reference_config):
         cfg = dataclasses.replace(reference_config, horizon_slots=4)
-        assert run(cfg).trajectories == []
-        result = run(cfg, sink_for=lambda c: engine.ResultSink(c, trajectories=True))
-        assert len(result.trajectories) == 4 * cfg.n_vue_groups
+        for dump in (False, True):
+            out = tmp_path / str(dump)
+            paths = write_outputs(run(cfg, sink_for=lambda c: engine.FileSink(c, out, trajectories=dump)), out)
+            assert ("trajectories" in paths) == dump == (out / "trajectories.csv").exists()
+        rows = (tmp_path / "True" / "trajectories.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4 * cfg.n_vue_groups
+        assert [row.split(",", 1)[0] for row in rows[1::cfg.n_vue_groups]] == ["0", "1", "2", "3"]
 
 
 class TestStepContract:
@@ -601,9 +633,9 @@ class TestSlotVectorsStayPut:
         arrived = []
 
         class RecordingSink(engine.ResultSink):
-            def slot(self, metrics, jobs, trajectory):
+            def slot(self, metrics, jobs):
                 arrived.append(slot_bytes(metrics))
-                super().slot(metrics, jobs, trajectory)
+                super().slot(metrics, jobs)
 
         result = sim.run(sink=RecordingSink(cfg))
         assert [slot_bytes(m) for m in result.slots] == arrived

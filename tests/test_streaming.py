@@ -36,10 +36,17 @@ def write_config(path: Path, config: SimConfig) -> Path:
 
 
 def stored_run_files(config: SimConfig, out: Path) -> dict[str, bytes]:
-    engine.write_outputs(
-        engine.run(config, sink_for=lambda c: engine.ResultSink(c, trajectories=True)), out
-    )
-    return files(out)
+    """A stored run's files, plus the vehicle dump stepped from a fleet of the config's own."""
+    engine.write_outputs(engine.run(config), out)
+    stored = files(out)
+    fleet = engine.make_fleet(config)
+    lines = []
+    for t in range(config.horizon_slots):
+        fleet.step()
+        lines.extend(engine.trajectory_line(row) + "\n" for row in fleet.trajectory_rows(t))
+    if lines:
+        stored["trajectories.csv"] = "".join(["slot,group,x_m,y_m,serving_bs\n", *lines]).encode()
+    return stored
 
 
 def stored_compare_files(results: dict, out: Path, hourly: bool = False) -> dict[str, bytes]:
