@@ -26,6 +26,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -260,10 +261,6 @@ class SlotMetrics:
     @property
     def total_flow_J(self) -> float:
         return left_sum(self.flow_J)
-
-    @property
-    def total_purchase_J(self) -> float:
-        return left_sum(self.purchase_J)
 
 
 @dataclass
@@ -511,13 +508,19 @@ class Simulation:
         """Step every slot into the sink and return what its close() returns.
 
         The default sink keeps the whole run as a RunResult; a streaming
-        sink keeps O(stations) state however long the horizon.
+        sink keeps O(stations) state however long the horizon. A slot that
+        raises closes the sink before the error propagates.
         """
         if sink is None:
             sink = ResultSink(self.config)
-        for t in range(self.config.horizon_slots):
-            metrics, outcome = self.step(t)
-            sink.slot(metrics, outcome.jobs)
+        try:
+            for t in range(self.config.horizon_slots):
+                metrics, outcome = self.step(t)
+                sink.slot(metrics, outcome.jobs)
+        except BaseException:
+            # the sink's files are released; what it built of the run is dropped
+            sink.close()
+            raise
         return sink.close()
 
 
@@ -628,12 +631,28 @@ def metrics_line(row: SlotRow) -> str:
     return ",".join(map(repr, row))
 
 
-def transfer_line(slot: int, job: TransferJob) -> str:
+class FloatReprs(dict):
+    """repr of each float looked up, rendered once per distinct value.
+
+    Equal floats share a repr except +0.0 and -0.0, which are equal keys,
+    so zeros are rendered every time and never stored. A sink owns one, so
+    it lives as long as the sink and holds only the values it wrote.
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def transfer_line(slot: int, job: TransferJob, reprs: FloatReprs) -> str:
+    """One transfers.csv row; fraction and the two times take few values, so reprs renders them."""
     d = job.decision
     return (
         f"{slot},{job.job_id},{d.source_id},{d.consumer_id},{d.gross_J!r},"
-        f"{d.fraction!r},{d.delivered_J!r},{d.hops},{job.mini_slots},"
-        f"{job.start_mini_slot},{job.occupancy_s!r},{job.completion_s!r},"
+        f"{reprs[d.fraction]},{d.delivered_J!r},{d.hops},{job.mini_slots},"
+        f"{job.start_mini_slot},{reprs[job.occupancy_s]},{reprs[job.completion_s]},"
         f"{job.status},{int(d.shortfall)},{job.route.text}"
     )
 
@@ -641,6 +660,15 @@ def transfer_line(slot: int, job: TransferJob) -> str:
 def trajectory_line(row: tuple[int, int, float, float, int]) -> str:
     slot, group, x, y, bs = row
     return f"{slot},{group},{x!r},{y!r},{bs}"
+
+
+def _total(values: Sequence[float]) -> float:
+    """left_sum of a slot's per-station vector, folded only when an entry is non-zero.
+
+    Left to right from the int 0, a non-empty vector of signed zeros sums
+    to +0.0, so a quiet slot's zeros skip the loop and keep their bits.
+    """
+    return left_sum(values) if any(values) else 0.0
 
 
 class SummaryAccumulator:
@@ -653,6 +681,12 @@ class SummaryAccumulator:
     level of a station is its level plus the energy delivered to it that
     slot: the level the allocator restores a deficient station to, at or
     above the lower threshold under a policy that meets every demand.
+
+    Zero rule: a slot's zeros are not added up. A vector with no non-zero
+    entry (any() is false) totals +0.0, which is what left_sum gives for
+    signed zeros; with no non-zero delivery, the restored minimum is the
+    level minimum unless that is a zero; and a slot whose queues are all
+    zero leaves queue_sums as it is. Each short-cut keeps every bit.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -669,18 +703,26 @@ class SummaryAccumulator:
 
     def add(self, m: SlotMetrics) -> SlotRow:
         """Fold one slot into the totals and return its metrics row."""
-        demand = m.total_demand_J
-        delivered = m.total_delivered_J
-        negative = left_sum((f for f in m.flow_J if f < 0.0), 0.0)
-        purchase = m.total_purchase_J
-        harvest = left_sum(m.harvest_J)
-        consumption = left_sum(m.consumption_J)
-        level = left_sum(m.level_J)
+        flows, received, queues = m.flow_J, m.delivered_J, m.queue_J
+        demand = _total(m.demand_J)
+        delivered = _total(received)
+        negative = left_sum((f for f in flows if f < 0.0), 0.0) if any(flows) else 0.0
+        purchase = _total(m.purchase_J)
+        harvest = _total(m.harvest_J)
+        consumption = _total(m.consumption_J)
+        level = _total(m.level_J)
         min_level = min_restored = 0.0
         if self.offgrid:
-            levels, received = m.level_J, m.delivered_J
-            min_level = min(levels[i] for i in self.offgrid)
-            min_restored = min(levels[i] + received[i] for i in self.offgrid)
+            offgrid, levels = self.offgrid, m.level_J
+            min_level = min(map(levels.__getitem__, offgrid))
+            if min_level and not any(received):
+                # a signed-zero delivery leaves a non-zero level's bits alone, so
+                # both minima stop at the same station and read the same
+                min_restored = min_level
+            else:
+                min_restored = min(
+                    map(operator.add, map(levels.__getitem__, offgrid), map(received.__getitem__, offgrid))
+                )
             if min_level < self.min_level:
                 self.min_level = min_level
             if min_restored < self.min_restored:
@@ -699,12 +741,17 @@ class SummaryAccumulator:
         self.shortfalls += len(m.shortfall_ids)
         self.overruns += m.n_overruns
         self.clamps += len(m.clamped_ids)
-        self.queue_sums = [total + q for total, q in zip(self.queue_sums, m.queue_J)]
+        queue_total = 0.0
+        if any(queues):
+            # a sum of signed zeros from the int 0 is +0.0, which divides and
+            # adds as the int 0 does, so all-zero slots leave the sums alone
+            self.queue_sums = [total + q for total, q in zip(self.queue_sums, queues)]
+            queue_total = left_sum(queues)
         return SlotRow(
             m.slot, m.role.count("source"), m.role.count("consumer"),
-            demand, delivered, -negative, m.total_flow_J, purchase, harvest, consumption,
+            demand, delivered, -negative, _total(flows), purchase, harvest, consumption,
             len(m.outage_ids), len(m.shortfall_ids), m.n_overruns, len(m.association),
-            min_level, min_restored, level / self.config.n_bs, left_sum(m.queue_J),
+            min_level, min_restored, level / self.config.n_bs, queue_total,
         )
 
     def theorem(self) -> TheoremDiagnostic | None:
@@ -839,11 +886,13 @@ class FileSink(SummarySink):
         self._metrics = _open_stream(self.paths["metrics"], _METRICS_HEADER)
         self._transfers = _open_stream(self.paths["transfers"], _TRANSFERS_HEADER)
         self._trajectories: TextIO | None = None
+        self._reprs = FloatReprs()
 
     def slot(self, metrics, jobs) -> None:
         self._metrics.write(metrics_line(self.add(metrics)) + "\n")
-        for job in jobs:
-            self._transfers.write(transfer_line(metrics.slot, job) + "\n")
+        if jobs:
+            slot, reprs = metrics.slot, self._reprs
+            self._transfers.write("".join([transfer_line(slot, job, reprs) + "\n" for job in jobs]))
         if self.fleet is not None:
             self.fleet.step()
             for row in self.fleet.trajectory_rows(metrics.slot):

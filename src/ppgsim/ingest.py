@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import islice, pairwise
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -149,12 +150,19 @@ def samples_per_slot(timestamps_s: Sequence[float], tau_s: float) -> int:
     # a timestamp read from text is exact to half an ulp of its magnitude,
     # so the difference of two is exact to one ulp
     tol = max(1e-6, 4.0 * math.ulp(max(abs(first), abs(last))))
-    for i, (prev, t) in enumerate(pairwise(timestamps_s), start=1):
-        if not abs(t - prev - step) <= tol:
-            raise TraceFormatError(
-                f"gap in window {i // max(round(tau_s / step), 1)}: "
-                f"expected timestamp {prev + step}, got {t}"
-            )
+    # every gap at C speed: rounding is monotone and odd, so each
+    # |gap - step| <= tol exactly when the largest and the smallest gap
+    # pass, and a NaN gap, which fails every test, makes the sum NaN. Only
+    # a failed check walks the pairs, with the test itself, to name the
+    # first bad window.
+    gaps = list(map(sub, islice(timestamps_s, 1, None), timestamps_s))
+    if not (max(gaps) - step <= tol and step - min(gaps) <= tol and not math.isnan(sum(gaps))):
+        for i, (prev, t) in enumerate(pairwise(timestamps_s), start=1):
+            if not abs(t - prev - step) <= tol:
+                raise TraceFormatError(
+                    f"gap in window {i // max(round(tau_s / step), 1)}: "
+                    f"expected timestamp {prev + step}, got {t}"
+                )
     per_window = round(tau_s / interval)
     if not (per_window >= 1 and abs(per_window * interval - tau_s) <= tol):
         raise TraceFormatError(

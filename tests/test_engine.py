@@ -179,7 +179,7 @@ class TestStepSemantics:
             assert set(m.role) == {"neutral"}
             assert m.total_demand_J == 0.0
             assert m.total_delivered_J == 0.0
-            assert m.total_purchase_J == 0.0
+            assert not any(m.purchase_J)
             assert m.level_J == m.level_end_J
 
     def test_consumer_next_to_source_gains_exactly_demand(self):

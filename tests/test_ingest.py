@@ -278,6 +278,79 @@ class TestSamplesPerSlotNonFinite:
         assert samples_per_slot([float(i) for i in range(12)], 6.0) == 6
 
 
+def first_gap_error(timestamps, tau_s):
+    """The pair-by-pair gap test alone, as samples_per_slot ran it on every file: its message, or None."""
+    step = timestamps[1] - timestamps[0]
+    tol = max(1e-6, 4.0 * math.ulp(max(abs(timestamps[0]), abs(timestamps[-1]))))
+    for i, (prev, t) in enumerate(zip(timestamps, timestamps[1:]), start=1):
+        if not abs(t - prev - step) <= tol:
+            return f"gap in window {i // max(round(tau_s / step), 1)}: expected timestamp {prev + step}, got {t}"
+    return None
+
+
+class TestGapCheck:
+    """samples_per_slot checks every gap in one pass and walks the pairs only to name a bad one."""
+
+    @pytest.mark.parametrize(
+        "index, value, message",
+        [
+            # the NaN gaps on either side of a NaN are not the largest or the
+            # smallest gap, so only the NaN check catches them
+            (300, math.nan, "gap in window 5: expected timestamp 300.0, got nan"),
+            (400, math.inf, "gap in window 6: expected timestamp 400.0, got inf"),
+            (500, -math.inf, "gap in window 8: expected timestamp 500.0, got -inf"),
+            (450, 450.5, "gap in window 7: expected timestamp 450.0, got 450.5"),
+        ],
+    )
+    def test_bad_gap_is_named_exactly(self, index, value, message):
+        timestamps = [float(i) for i in range(600)]
+        timestamps[index] = value
+        assert first_gap_error(timestamps, 60.0) == message
+        with pytest.raises(TraceFormatError) as caught:
+            samples_per_slot(timestamps, 60.0)
+        assert str(caught.value) == message
+
+    def test_first_of_several_bad_gaps_is_named(self):
+        timestamps = [float(i) for i in range(600)]
+        timestamps[500] = math.nan
+        timestamps[130] = 130.25
+        with pytest.raises(TraceFormatError) as caught:
+            samples_per_slot(timestamps, 60.0)
+        assert str(caught.value) == "gap in window 2: expected timestamp 130.0, got 130.25"
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        first=st.sampled_from((0.0, 1.6e9)),
+        step=st.sampled_from((1.0, 0.1)),
+        n=st.integers(8, 40),
+        changes=st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from((0.0, 5e-7, 1e-6, 2e-6, 0.5, math.nan, math.inf, -math.inf)),
+                st.sampled_from((1.0, -1.0)),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_matches_the_pairwise_test(self, first, step, n, changes):
+        timestamps = [first + step * i for i in range(n)]
+        # the first two and the last timestamp stay: they set the step and the tolerance
+        for where, offset, sign in changes:
+            timestamps[2 + int(where * (n - 3))] += sign * offset
+        expected = first_gap_error(timestamps, 6.0)
+        if expected is None:
+            # no gap: whatever follows the check (a per-window count or the
+            # interval's own error) is the same as with no walk at all
+            try:
+                samples_per_slot(timestamps, 6.0)
+            except TraceFormatError as exc:
+                assert "gap in window" not in str(exc)
+        else:
+            with pytest.raises(TraceFormatError) as caught:
+                samples_per_slot(timestamps, 6.0)
+            assert str(caught.value) == expected
+
+
 def oracle_parse_harvest(path):
     """The line-at-a-time parser that parse_harvest replaced, kept as a reference."""
     lines = Path(path).read_text().splitlines()

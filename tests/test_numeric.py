@@ -63,11 +63,10 @@ def test_totals_that_reach_outputs_round_left_to_right(compensated_builtin, tmp_
         flows, cancelling, cancelling, cancelling, frozenset(), (), (), (), (), 0,
     )
     assert metrics.total_demand_J == metrics.total_delivered_J == 0.0
-    assert metrics.total_purchase_J == 0.0
     assert metrics.total_flow_J == -1e16
     config = engine.SimConfig(rows=1, cols=3, on_grid_ids=())
     row = engine.SummaryAccumulator(config).add(metrics)
-    assert (row.harvest_J, row.consumption_J, row.mean_level_J, row.queue_sum_J) == (0.0,) * 4
+    assert (row.purchase_J, row.harvest_J, row.consumption_J, row.mean_level_J, row.queue_sum_J) == (0.0,) * 5
     assert (row.gross_J, row.flow_sum_J) == (1e16, -1e16)
 
     def coverage(pairs):

@@ -5,22 +5,28 @@ writes it out or folds it into running totals, and keep nothing per slot.
 Library callers get the whole run in memory from engine.run, and
 write_outputs, emit_plot_data and emit_lambda_table write it. Both paths
 share one row formatter and one summary accumulator; these tests hold
-them to the same bytes, and hold the streamed path to flat memory.
+them to the same bytes, and hold the streamed path to flat memory. The
+accumulator's zero short-cuts and the transfer-field memo are held to
+the plain code they replaced.
 """
 
 import dataclasses
 import gc
+import math
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppgsim import allocation, engine
 from ppgsim.cli import emit_lambda_table, emit_plot_data, main
-from ppgsim.engine import SimConfig, config_items
+from ppgsim.engine import SimConfig, SlotMetrics, config_items
+from ppgsim.numeric import left_sum
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1.cfg"
 LAMBDAS = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -244,3 +250,216 @@ class TestMemory:
     def test_stored_run_grows(self, reference_config):
         # the same check on the in-memory path fails: it can fail
         assert not self.flat_in_horizon(reference_config, None)
+
+
+class OracleAccumulator(engine.SummaryAccumulator):
+    """The accumulator with every vector folded and every minimum taken, in every slot.
+
+    SummaryAccumulator.add skips the zeros of a quiet slot; this is the
+    add it replaced, kept as the reference for those short-cuts.
+    """
+
+    def add(self, m: SlotMetrics) -> engine.SlotRow:
+        demand = left_sum(m.demand_J)
+        delivered = left_sum(m.delivered_J)
+        negative = left_sum((f for f in m.flow_J if f < 0.0), 0.0)
+        purchase = left_sum(m.purchase_J)
+        harvest = left_sum(m.harvest_J)
+        consumption = left_sum(m.consumption_J)
+        level = left_sum(m.level_J)
+        min_level = min_restored = 0.0
+        if self.offgrid:
+            levels, received = m.level_J, m.delivered_J
+            min_level = min(levels[i] for i in self.offgrid)
+            min_restored = min(levels[i] + received[i] for i in self.offgrid)
+            if min_level < self.min_level:
+                self.min_level = min_level
+            if min_restored < self.min_restored:
+                self.min_restored = min_restored
+        self.n_slots += 1
+        self.demand += demand
+        self.delivered += delivered
+        self.negative_flow += negative
+        self.purchase += purchase
+        self.harvest += harvest
+        self.consumption += consumption
+        self.level += level
+        self.demand_slots += demand > 0
+        self.unmet_slots += delivered < demand - 1e-6
+        self.outages += len(m.outage_ids)
+        self.shortfalls += len(m.shortfall_ids)
+        self.overruns += m.n_overruns
+        self.clamps += len(m.clamped_ids)
+        self.queue_sums = [total + q for total, q in zip(self.queue_sums, m.queue_J)]
+        return engine.SlotRow(
+            m.slot, m.role.count("source"), m.role.count("consumer"),
+            demand, delivered, -negative, left_sum(m.flow_J), purchase, harvest, consumption,
+            len(m.outage_ids), len(m.shortfall_ids), m.n_overruns, len(m.association),
+            min_level, min_restored, level / self.config.n_bs, left_sum(m.queue_J),
+        )
+
+
+def settled(totals: engine.SummaryAccumulator) -> str:
+    """The run's summary, theorem included, as repr; a bound that overflows gives its error."""
+    try:
+        theorem = totals.theorem()
+    except OverflowError as exc:
+        return repr(exc)
+    return repr(totals.summary(theorem))
+
+
+def assert_same_totals(config: SimConfig, slots) -> None:
+    fast, oracle = engine.SummaryAccumulator(config), OracleAccumulator(config)
+    for m in slots:
+        assert repr(fast.add(m)) == repr(oracle.add(m))
+    assert settled(fast) == settled(oracle)
+
+
+# signed zeros, the smallest subnormals, infinities, NaN and the triple that
+# left-to-right addition cancels to 0.0
+CANCELLING = [1e16, 1.0, -1e16]
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, *CANCELLING)
+
+
+@st.composite
+def slot_streams(draw) -> tuple[SimConfig, list[SlotMetrics]]:
+    """A one-row grid with any on-grid set, and a few slots of drawn vectors."""
+    n = draw(st.integers(2, 6))
+    everyone = tuple(range(n))
+    on_grid = draw(st.one_of(
+        st.just(everyone),
+        st.lists(st.sampled_from(everyone), unique=True).map(lambda ids: tuple(sorted(ids))),
+    ))
+    config = SimConfig(rows=1, cols=n, on_grid_ids=on_grid, lam=draw(st.sampled_from((0.0, 1.0))))
+    zero = st.sampled_from((0.0, -0.0))
+    values = st.one_of(st.sampled_from(SPECIAL), st.floats())
+    # a quiet slot's vector, a busy slot's (mostly zeros), and a dense one
+    vectors = [
+        st.lists(zero, min_size=n, max_size=n),
+        st.lists(st.one_of(zero, values), min_size=n, max_size=n),
+        st.lists(values, min_size=n, max_size=n),
+    ]
+    if n >= 3:
+        vectors.append(st.just([*CANCELLING, *[0.0] * (n - 3)]))
+    vector = st.one_of(*vectors)
+    ids = st.lists(st.sampled_from(everyone), unique=True)
+    roles = st.lists(st.sampled_from(("source", "consumer", "neutral")), min_size=n, max_size=n)
+    slots = [
+        SlotMetrics(
+            slot=t, level_J=draw(vector), level_end_J=draw(vector), queue_J=draw(vector),
+            role=draw(roles), demand_J=draw(vector), delivered_J=draw(vector),
+            flow_J=draw(vector), purchase_J=draw(vector), harvest_J=draw(vector),
+            consumption_J=draw(vector), association=frozenset(draw(ids)), outage_ids=draw(ids),
+            shortfall_ids=draw(ids), clamped_ids=draw(ids), capped_ids=draw(ids),
+            n_overruns=draw(st.integers(0, 3)),
+        )
+        for t in range(draw(st.integers(1, 4)))
+    ]
+    return config, slots
+
+
+def quiet_slot(level_J, delivered_J) -> SlotMetrics:
+    n = len(level_J)
+    zeros = [0.0] * n
+    return SlotMetrics(
+        0, level_J, level_J, zeros, ["neutral"] * n, zeros, delivered_J, zeros, zeros, zeros,
+        zeros, frozenset(), [], [], [], [], 0,
+    )
+
+
+OFF_GRID_PAIR = SimConfig(rows=1, cols=2, on_grid_ids=())
+
+
+class TestSummaryShortCuts:
+    """SummaryAccumulator.add against the fold of every vector, row by row, as repr."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(stream=slot_streams())
+    # a -0.0 minimum level: a -0.0 delivery keeps it -0.0, a +0.0 one makes it +0.0
+    @example(stream=(OFF_GRID_PAIR, [quiet_slot([-0.0, 1.0], [-0.0, 0.0])]))
+    @example(stream=(OFF_GRID_PAIR, [quiet_slot([-0.0, 1.0], [0.0, -0.0])]))
+    def test_drawn_slots(self, stream):
+        assert_same_totals(*stream)
+
+    def test_every_reference_slot(self, reference_runs):
+        results, _ = reference_runs
+        assert sum(len(result.slots) for result in results.values()) == 4320
+        for result in results.values():
+            assert_same_totals(result.config, result.slots)
+
+
+def plain_transfer_line(slot: int, job) -> str:
+    """A transfers.csv row with every float field rendered by repr, as before the memo."""
+    d = job.decision
+    return (
+        f"{slot},{job.job_id},{d.source_id},{d.consumer_id},{d.gross_J!r},"
+        f"{d.fraction!r},{d.delivered_J!r},{d.hops},{job.mini_slots},"
+        f"{job.start_mini_slot},{job.occupancy_s!r},{job.completion_s!r},"
+        f"{job.status},{int(d.shortfall)},{job.route.text}"
+    )
+
+
+def plain_transfers(result: engine.RunResult) -> str:
+    header = "slot,job_id,source,consumer,gross_J,fraction,delivered_J,hops,mini_slots,start_mini_slot,"
+    header += "occupancy_s,completion_s,status,shortfall,route\n"
+    return "".join([header, *(plain_transfer_line(slot, job) + "\n" for slot, job in result.jobs)])
+
+
+class TestTransferFieldMemo:
+    def test_float_reprs_render_signed_zeros_apart(self):
+        reprs = engine.FloatReprs()
+        values = (0.0, -0.0, 0.0, 7.0, -0.0, 7.0, math.nan, 0.1 + 0.2)
+        assert [reprs[v] for v in values] == [repr(v) for v in values]
+        assert 0.0 not in reprs and reprs[7.0] == "7.0"
+
+    def test_zero_processing_delay_and_zero_times(self, tmp_path):
+        config = dataclasses.replace(TRADING, xi_s=0.0)
+        result = engine.run(config)
+        assert len(result.jobs) >= 4
+        # a zero-length job holds its links for 0.0 s; write both signed zeros in one run
+        zeroed = [0.0, -0.0, 0.0, -0.0]
+        for (_, job), zero in zip(result.jobs, zeroed):
+            job.occupancy_s = job.completion_s = zero
+        paths = engine.write_outputs(result, tmp_path)
+        text = paths["transfers"].read_text()
+        assert text == plain_transfers(result)
+        assert ",0.0,0.0," in text and ",-0.0,-0.0," in text
+
+    def test_runs_with_other_mini_slots_render_their_own_times(self, tmp_path):
+        results = [engine.run(dataclasses.replace(TRADING, mini_slot_s=m)) for m in (5.0, 3.0, 5.0)]
+        for k, result in enumerate(results):
+            paths = engine.write_outputs(result, tmp_path / str(k))
+            assert paths["transfers"].read_text() == plain_transfers(result)
+        times = [{job.occupancy_s for _, job in result.jobs} for result in results]
+        assert times[0] == times[2] and times[0] != times[1]
+
+    def test_memo_lives_and_dies_with_its_sink(self, tmp_path):
+        result = engine.run(TRADING)
+        sinks = [engine.FileSink(TRADING, tmp_path / name) for name in "ab"]
+        assert sinks[0]._reprs is not sinks[1]._reprs
+        engine._replay(result, sinks[0])
+        assert sinks[0]._reprs and not sinks[1]._reprs
+        sinks[1].close()
+        memo = weakref.ref(sinks[0]._reprs)
+        del sinks
+        gc.collect()
+        assert memo() is None
+
+
+def test_a_run_that_raises_closes_its_files(tmp_path, monkeypatch):
+    config = SimConfig(horizon_slots=10)
+    real_step = engine.Simulation.step
+
+    def step(sim, t):
+        if t == 3:
+            raise RuntimeError("step failed at t = 3")
+        return real_step(sim, t)
+
+    monkeypatch.setattr(engine.Simulation, "step", step)
+    sink = engine.FileSink(config, tmp_path, trajectories=True)
+    with pytest.raises(RuntimeError, match="t = 3"):
+        engine.Simulation(config).run(sink)
+    handles = (sink._metrics, sink._transfers, sink._trajectories)
+    assert all(handle.closed for handle in handles)
+    # the three slots before the error were written out
+    assert len((tmp_path / "metrics.csv").read_text().splitlines()) == 1 + 3
