@@ -929,12 +929,16 @@ class ResultSink(SummarySink):
 
 
 def _replay(result: RunResult, sink: SlotSink):
-    """Feed a stored run's slots to a sink, as Simulation.run did, and close it."""
+    """Feed a stored run's slots to a sink, as Simulation.run did, and close it, also when a slot raises."""
     jobs: dict[int, list[TransferJob]] = {}
     for slot, job in result.jobs:
         jobs.setdefault(slot, []).append(job)
-    for m in result.slots:
-        sink.slot(m, jobs.get(m.slot, ()))
+    try:
+        for m in result.slots:
+            sink.slot(m, jobs.get(m.slot, ()))
+    except BaseException:
+        sink.close()
+        raise
     return sink.close()
 
 

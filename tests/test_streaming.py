@@ -463,3 +463,19 @@ def test_a_run_that_raises_closes_its_files(tmp_path, monkeypatch):
     assert all(handle.closed for handle in handles)
     # the three slots before the error were written out
     assert len((tmp_path / "metrics.csv").read_text().splitlines()) == 1 + 3
+
+
+def test_a_replay_that_raises_closes_its_files(tmp_path, monkeypatch):
+    result = engine.run(SimConfig(horizon_slots=5))
+    result.slots[3] = dataclasses.replace(result.slots[3], role=None)
+    opened = []
+    real_open = engine._open_stream
+
+    def recording_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(engine, "_open_stream", recording_open)
+    with pytest.raises(AttributeError):
+        engine.write_outputs(result, tmp_path)
+    assert len(opened) == 2 and all(handle.closed for handle in opened)
