@@ -26,6 +26,7 @@ from ppgsim.engine import (
 from ppgsim.errors import ConfigError
 from ppgsim.ingest import HarvestTraceSet, LoadProfileSet
 from ppgsim.topology import PpgGrid
+from test_streaming import TRADING, small_configs
 
 
 Station = collections.namedtuple("Station", "id node grid_connected level_J")
@@ -645,3 +646,65 @@ class TestSlotVectorsStayPut:
         assert len({tuple(m.level_J) for m in result.slots}) == cfg.horizon_slots
         assert len({tuple(m.queue_J) for m in result.slots}) == cfg.horizon_slots
         assert any(m.delivered_J.count(0.0) < cfg.n_bs for m in result.slots)
+
+
+def queue_proof_violations(config, slots):
+    """Where a run breaks the proof that no virtual queue can leave 0.
+
+    Replays queue_update from the cap, beta_max_J, over each slot's
+    delivered vector, as the drift-plus-penalty queues would advance. The
+    proof's premises are checked per station: a consumer gets at most one
+    delivery, so its delivered energy is within two roundings of its
+    demand (gross = demand / fraction, then gross * fraction), and below
+    the cap, which the validated thresholds keep the demand under.
+    """
+    cap = config.beta_max_J
+    queues = [0.0] * config.n_bs
+    found = []
+    for m in slots:
+        if any(q != 0.0 for q in queues):
+            found.append(("queue", m.slot))
+        for demand, delivered in zip(m.demand_J, m.delivered_J):
+            if delivered > demand + 2 * math.ulp(demand):
+                found.append(("demand", m.slot))
+            if not delivered < cap:
+                found.append(("cap", m.slot))
+        queues = [allocation.queue_update(q, d, cap) for q, d in zip(queues, m.delivered_J)]
+    if any(q != 0.0 for q in queues):
+        found.append(("queue", len(slots)))
+    return found
+
+
+class TestQueueCannotMove:
+    """Every slot-start virtual queue is 0.0 in every valid run, so the drift term is 0."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(config=small_configs())
+    def test_small_configs(self, config):
+        result = run(config)
+        assert queue_proof_violations(config, result.slots) == []
+
+    def test_reference_compare(self, reference_runs):
+        results, _ = reference_runs
+        for result in results.values():
+            assert queue_proof_violations(result.config, result.slots) == []
+
+    @pytest.mark.parametrize("fill", [0.32, 0.2])
+    def test_reference_day_at_low_fill(self, reference_config, fill):
+        # about 1,900 deliveries per policy, a tenth to a fifth of them shortfalls
+        cfg = dataclasses.replace(reference_config, initial_fill_fraction=fill)
+        for result in compare(cfg, allocation.POLICIES).values():
+            assert queue_proof_violations(cfg, result.slots) == []
+
+    def test_a_consumer_served_twice_is_caught(self):
+        cfg = TRADING
+        slots = run(cfg).slots
+        busy = next(k for k, m in enumerate(slots) if any(m.delivered_J))
+        consumer = max(range(cfg.n_bs), key=slots[busy].delivered_J.__getitem__)
+        # a planted fault: the consumer gets two deliveries of 0.6 cap each
+        delivered = list(slots[busy].delivered_J)
+        delivered[consumer] = 0.6 * cfg.beta_max_J + 0.6 * cfg.beta_max_J
+        slots[busy] = dataclasses.replace(slots[busy], delivered_J=delivered)
+        found = queue_proof_violations(cfg, slots)
+        assert {kind for kind, _ in found} == {"queue", "demand", "cap"}
+        assert ("queue", busy + 1) in found

@@ -100,13 +100,18 @@ def small_configs(draw) -> SimConfig:
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(2 if rows == 1 else 1, 5))
     on_grid = draw(st.lists(st.integers(0, rows * cols - 1), unique=True, max_size=2))
+    low = draw(st.floats(0.01, 0.95))
     return SimConfig(
         rows=rows,
         cols=cols,
         on_grid_ids=tuple(sorted(on_grid)),
         horizon_slots=draw(st.integers(0, 30)),
         policy=draw(st.sampled_from(allocation.POLICIES)),
-        lam=draw(st.sampled_from((0.0, 1.0))),
+        lam=draw(st.sampled_from((0.0, 1e-4, 1.0, 1e3))),
+        beta_low_fraction=low,
+        beta_up_fraction=draw(st.floats(low, 0.999, exclude_min=True)),
+        # a small link power stretches jobs over many mini-slots, so they contend
+        phi_max_J=draw(st.sampled_from((1e4, 3e4, 1e5))),
         # a nearly empty start next to a grid-connected station trades by
         # midday of a 24-slot day; a nearly full one never asks for energy
         initial_fill_fraction=draw(st.sampled_from((0.05, 0.32, 0.9))),
