@@ -1,7 +1,7 @@
 """Discrete-time simulator for energy cooperation between energy-harvesting
 base stations connected by a power packet grid."""
 
-from .allocation import AllocationDecision, TheoremDiagnostic, VirtualQueues
+from .allocation import AllocationDecision, TheoremDiagnostic
 from .domain import EnergyBuffer, SimClock
 from .engine import (
     RunResult,
@@ -38,7 +38,6 @@ __all__ = [
     "TheoremDiagnostic",
     "TraceFormatError",
     "TransferJob",
-    "VirtualQueues",
     "compare",
     "run",
     "run_variants",

@@ -2,23 +2,24 @@
 
 allocate_slot is the one slot driver for every policy. The PICKS registry
 maps a policy name to a builder that takes the slot's context (lattice
-shape, loss model, queues, consumptions, control weight, policy rng) and
-returns the slot's pick(consumer, demand_J, available) closure; a new
-policy is one registered builder. Station ids are row-major on the
-rows x cols lattice, so the hop count between two stations is their
-lattice (Manhattan) distance.
+shape, loss model, control weight, policy rng) and returns the slot's
+pick(consumer, demand_J, available) closure; a new policy is one
+registered builder. Station ids are row-major on the rows x cols lattice,
+so the hop count between two stations is their lattice (Manhattan)
+distance.
 
-* ``lyapunov`` - consumers served priority-first; for each, the sources
-  able to cover the demand after route losses are preferred, the nearest
-  wins, and the drift-plus-penalty score breaks ties between equally near
-  candidates (lyapunov_ring_picks states the rule). The search walks hop
-  rings d = 1, 2, ... around the consumer and stops after the first ring
-  holding an adequate source, or, with an inadequate source in hand, when
-  even the largest surplus left times the delivered fraction of the next
-  ring falls short of the demand. The fraction falls with d and float
-  products are monotone, so the rings walked always hold the nearest
-  adequate source, or when none exists the nearest inadequate ones: the
-  pick equals that of a scan over every source.
+* ``lyapunov`` - the drift-plus-penalty rule with its drift term at 0,
+  which is all it can be here (lyapunov_ring_picks says why): consumers
+  served priority-first; for each, the nearest source able to cover the
+  demand after route losses wins, lowest id first, and only when none can
+  does the control weight pick among the nearest inadequate sources. The
+  search walks hop rings d = 1, 2, ... around the consumer and stops
+  after the first ring holding an adequate source, or, with an inadequate
+  source in hand, when even the largest surplus left times the delivered
+  fraction of the next ring falls short of the demand. The fraction falls
+  with d and float products are monotone, so the rings walked always hold
+  the nearest adequate source, or when none exists the nearest inadequate
+  ones: the pick equals that of a scan over every source.
 * ``radial`` - a two-ring neighborhood search around the consumer.
 * ``random`` - a uniform draw over all current sources.
 
@@ -43,8 +44,6 @@ Shape = tuple[int, int]
 FractionFn = Callable[[int], float]
 # (consumer, d) -> ids of the stations d hops from the consumer
 RingsFn = Callable[[int, int], Sequence[int]]
-# a value per station, read as values[station_id]: an id-indexed list or a map
-PerStation = Sequence[float] | Mapping[int, float]
 
 
 @dataclass(frozen=True)
@@ -77,59 +76,33 @@ class AllocationDecision:
 
 
 class VirtualQueues:
-    """Per-station control queues driving the drift term, a list indexed by station id; start at zero."""
+    """Per-station queues under queue_update, a list indexed by station id; start at zero.
+
+    No run keeps these: every queue would stay at 0 (lyapunov_ring_picks).
+    The class is kept only because the benchmark's tracer wraps
+    VirtualQueues.advance as its allocation.queue span, and
+    tests/test_bench_contract.py requires every traced target to resolve.
+    """
 
     def __init__(self, n_stations: int) -> None:
         self.values: list[float] = [0.0] * n_stations
 
-    def get(self, bs_id: int) -> float:
-        return self.values[bs_id]
-
     def advance(self, bs_id: int, delivered_J: float, cap_J: float) -> None:
         self.values[bs_id] = queue_update(self.values[bs_id], delivered_J, cap_J)
 
-    def advance_all(self, delivered_J: Sequence[float], cap_J: float) -> None:
-        """Advance every queue one slot, as queue_update does; delivered_J is in id order.
 
-        values becomes a new list, so a list read before the advance keeps
-        the slot-start queues. Queues never go negative, so only the slot's
-        inputs are checked; NaN passes, as in queue_update.
-        """
-        values = self.values
-        if len(delivered_J) != len(values):
-            raise ValueError(f"need one delivery per queue: {len(values)}, got {len(delivered_J)}")
-        if cap_J < 0.0:
-            raise ValueError("queue inputs must be >= 0")
-        if not any(delivered_J):
-            # every delivery a signed zero, as in a slot without transfers:
-            # signed-zero queues then drain to +0.0 against any cap above
-            # zero (at cap 0.0, -0.0 stays -0.0), as every queue does in a run
-            if 0.0 < cap_J and not any(values):
-                self.values = [0.0] * len(values)
-                return
-        # min() is NaN only when the list starts with NaN, which hides any
-        # negative entry after it; only then is each entry compared
-        elif not min(delivered_J) >= 0.0 and any(map((0.0).__gt__, delivered_J)):
-            raise ValueError("queue inputs must be >= 0")
-        # max(q, 0.0) returns 0.0 only when 0.0 > q: the same bits, -0.0 and NaN included
-        self.values = [
-            0.0 if 0.0 > (q := value + delivered - cap_J) else q
-            for value, delivered in zip(values, delivered_J)
-        ]
-
-
-def queue_update(queue_J: float, delivered_J: float, cap_J: float) -> float:
+def queue_update(backlog_J: float, delivered_J: float, cap_J: float) -> float:
     """Queue recursion: grow by the slot's delivered energy, drain by the cap."""
-    if queue_J < 0 or delivered_J < 0 or cap_J < 0:
+    if backlog_J < 0 or delivered_J < 0 or cap_J < 0:
         raise ValueError("queue inputs must be >= 0")
-    return max(queue_J + delivered_J - cap_J, 0.0)
+    return max(backlog_J + delivered_J - cap_J, 0.0)
 
 
-def p2_score(queue_J: float, consumption_J: float, lam: float, delivered_J: float) -> float:
+def p2_score(backlog_J: float, consumption_J: float, lam: float, delivered_J: float) -> float:
     """Drift-plus-penalty objective: queue * consumption + lam * delivered."""
     if lam < 0:
         raise ValueError("control weight must be >= 0")
-    return queue_J * consumption_J + lam * delivered_J
+    return backlog_J * consumption_J + lam * delivered_J
 
 
 def _decision_for(
@@ -175,26 +148,31 @@ def lyapunov_ring_picks(
     rings: RingsFn,
     hop_values: Sequence[int],
     fractions: Sequence[float] | Mapping[int, float],
-    queues: PerStation,
-    consumptions: PerStation,
     lam: float,
 ) -> PickFn:
     """The drift-plus-penalty pick, walking each consumer's candidates nearest first.
 
     rings(consumer, d) gives the station ids d hops from the consumer, for
     each d of hop_values in ascending order, and fractions[d] the share of
-    sent energy that survives d hops, non-increasing in d; queues[consumer]
-    and consumptions[consumer] give the consumer's drift term, so both must
-    hold every consumer picked for. The candidates are the ids in
-    available, which holds only surpluses above zero, as allocate_slot
-    keeps it. A candidate is adequate when its surplus times the fraction
-    covers the demand, so a pick always restores the full demand after
-    route losses. Adequate candidates are preferred; among
-    those at the minimum hop count the one with the lowest
-    drift-plus-penalty score (p2_score) wins, and exact ties go to the
-    lower id. When no candidate is adequate the nearest inadequate ones are
-    scored the same way, and the winner sends everything it has, flagged
-    as a shortfall.
+    sent energy that survives d hops, non-increasing in d. The candidates
+    are the ids in available, which holds only surpluses above zero, as
+    allocate_slot keeps it. A candidate is adequate when its surplus times
+    the fraction covers the demand, so a pick always restores the full
+    demand after route losses. Adequate candidates are preferred; among
+    those at the minimum hop count the one with the lowest score wins, and
+    exact ties go to the lower id. When no candidate is adequate the
+    nearest inadequate ones are scored the same way, and the winner sends
+    everything it has, flagged as a shortfall.
+
+    The score is p2_score with its drift term, queue * consumption, at 0:
+    lam * delivered. The consumer's virtual queue cannot leave 0. Its
+    demand is beta_low_J - level, below beta_max_J because the config
+    keeps low < up < 1; it gets at most one decision per slot, which
+    delivers at most the demand up to two roundings; and the queue drains
+    beta_max_J per slot, so max(0 + delivered - beta_max_J, 0) is 0 every
+    slot. Among adequate candidates every gross is the same need, unless
+    rounding leaves a surplus just under it, so the score decides only in
+    the shortfall pool, where the smallest surplus wins for lam > 0.
 
     The walk stops after the first ring holding an adequate candidate, or,
     with an inadequate one in hand, when the largest surplus in available
@@ -240,14 +218,13 @@ def lyapunov_ring_picks(
             return None
         fraction = fractions[hops]
         need = demand_J / fraction
-        drift = queues[consumer] * consumptions[consumer]
         best = None
         best_gross, best_score = 0.0, math.inf
         for s in sorted(pool):
             surplus = available[s]
-            # min(need, surplus) and p2_score's expression, inlined
+            # min(need, surplus) and p2_score's penalty term, inlined
             gross = surplus if shortfall or surplus < need else need
-            score = drift + lam * (gross * fraction)
+            score = lam * (gross * fraction)
             if score < best_score:
                 best, best_gross, best_score = s, gross, score
         if best is None:
@@ -265,7 +242,7 @@ def lyapunov_pick(
     available: Mapping[int, float],
     hops_to: Mapping[int, int],
     fraction_of: FractionFn,
-    queue_J: float,
+    backlog_J: float,
     consumption_J: float,
     lam: float,
 ) -> AllocationDecision | None:
@@ -273,8 +250,11 @@ def lyapunov_pick(
 
     hops_to maps each candidate to its hop count, and fraction_of must not
     increase with it; a candidate with no surplus above zero left is
-    passed over.
+    passed over. The drift term backlog_J * consumption_J must be 0, the
+    only value it takes in a run; any other value raises ValueError.
     """
+    if backlog_J * consumption_J != 0.0:
+        raise ValueError(f"drift term must be 0, got {backlog_J} * {consumption_J}")
     by_hops: dict[int, list[int]] = {}
     for s, h in hops_to.items():
         by_hops.setdefault(h, []).append(s)
@@ -283,8 +263,6 @@ def lyapunov_pick(
         lambda _, h: by_hops[h],
         hop_values,
         {h: fraction_of(h) for h in hop_values},
-        {consumer: queue_J},
-        {consumer: consumption_J},
         lam,
     )
     return pick(consumer, demand_J, {s: a for s, a in available.items() if a > 0.0})
@@ -300,22 +278,13 @@ def consumer_order(demands: Mapping[int, float], priority: frozenset[int]) -> li
 PickFn = Callable[[int, float, dict[int, float]], AllocationDecision | None]
 
 
-def lyapunov_picks(
-    shape: Shape, fraction_of: FractionFn, queues: PerStation,
-    consumptions: PerStation, lam: float, rng: random.Random,
-) -> PickFn:
-    """Drift-plus-penalty pick over the hop rings around the consumer on the lattice.
-
-    consumptions holds the latest known per-station consumption (the
-    previous slot's, since the current slot's load is only known at its end).
-    """
+def lyapunov_picks(shape: Shape, fraction_of: FractionFn, lam: float, rng: random.Random) -> PickFn:
+    """Drift-plus-penalty pick over the hop rings around the consumer on the lattice."""
     rows, cols = shape
     return lyapunov_ring_picks(
         lambda consumer, d: ring_ids(consumer, d, shape),
         range(1, rows + cols - 1),
         [fraction_of(d) for d in range(rows + cols - 1)],
-        queues,
-        consumptions,
         lam,
     )
 
@@ -323,10 +292,7 @@ def lyapunov_picks(
 RADIAL_MAX_RINGS = 2
 
 
-def radial_picks(
-    shape: Shape, fraction_of: FractionFn, queues: PerStation,
-    consumptions: PerStation, lam: float, rng: random.Random,
-) -> PickFn:
+def radial_picks(shape: Shape, fraction_of: FractionFn, lam: float, rng: random.Random) -> PickFn:
     """Benchmark pick: scan the consumer's neighbors, then neighbors-of-neighbors.
 
     The search stops after RADIAL_MAX_RINGS hop rings; within the first ring
@@ -344,10 +310,7 @@ def radial_picks(
     return pick
 
 
-def random_picks(
-    shape: Shape, fraction_of: FractionFn, queues: PerStation,
-    consumptions: PerStation, lam: float, rng: random.Random,
-) -> PickFn:
+def random_picks(shape: Shape, fraction_of: FractionFn, lam: float, rng: random.Random) -> PickFn:
     """Benchmark pick drawn uniformly from every station with surplus left, at its lattice distance."""
     cols = shape[1]
 
@@ -378,8 +341,6 @@ def allocate_slot(
     surpluses: Mapping[int, float],
     shape: Shape,
     fraction_of: FractionFn,
-    queues: PerStation,
-    consumptions: PerStation,
     lam: float,
     rng: random.Random,
 ) -> tuple[list[AllocationDecision], list[int]]:
@@ -393,7 +354,7 @@ def allocate_slot(
     """
     if policy not in PICKS:
         raise ConfigError(f"unknown policy {policy!r}; pick one of {POLICIES}")
-    pick = PICKS[policy](shape, fraction_of, queues, consumptions, lam, rng)
+    pick = PICKS[policy](shape, fraction_of, lam, rng)
     available = {s: a for s, a in surpluses.items() if a > 0.0}
     decisions: list[AllocationDecision] = []
     outages: list[int] = []

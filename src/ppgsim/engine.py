@@ -12,8 +12,7 @@ Event order inside one slot is a frozen contract:
 6. sample the slot's load and harvest
 7. update batteries; grid-connected stations purchase up to their
    upper threshold on the provisional end-of-slot level
-8. advance the per-station virtual queues
-9. hand the slot's metrics and jobs to the run's sink
+8. hand the slot's metrics and jobs to the run's sink
 
 Consequences worth noting: energy delivered in a slot is usable against
 that slot's consumption (battery updates sum all flows at once), and a
@@ -33,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence, TextIO
 
 from . import allocation, domain, ingest, mobility, topology, transfer
-from .allocation import TheoremDiagnostic, VirtualQueues
+from .allocation import TheoremDiagnostic
 from .domain import SimClock
 from .errors import ConfigError
 from .ingest import HarvestTraceSet, LoadProfileSet
@@ -97,8 +96,12 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
-            raise ConfigError(f"grid {self.rows}x{self.cols} too small")
+        for key in ("rows", "cols"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
+        if self.rows * self.cols < 2:
+            raise ConfigError(f"rows and cols must give at least 2 stations, got {self.rows}x{self.cols}")
         n = self.rows * self.cols
         if len(set(self.on_grid_ids)) != len(self.on_grid_ids):
             raise ConfigError("on_grid_ids contains duplicates")
@@ -127,8 +130,13 @@ class SimConfig:
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
+        # low < 1 keeps every demand below beta_max_J, so no virtual queue can
+        # leave 0 (allocation.lyapunov_ring_picks)
         if not (0.0 < self.beta_low_fraction < self.beta_up_fraction < 1.0):
-            raise ConfigError("thresholds must satisfy 0 < low < up < 1")
+            raise ConfigError(
+                "beta_low_fraction and beta_up_fraction must satisfy 0 < low < up < 1, "
+                f"got {self.beta_low_fraction} and {self.beta_up_fraction}"
+            )
         if self.policy not in allocation.POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}; pick one of {allocation.POLICIES}")
         if self.horizon_slots < 0:
@@ -141,8 +149,10 @@ class SimConfig:
             raise ConfigError("speed_min_mps exceeds speed_max_mps")
         if self.slots_per_day < 1:
             raise ConfigError("slots_per_day must be >= 1")
-        if self.n_vue_groups < 0 or self.members_per_group < 1:
-            raise ConfigError("need non-negative group count and >= 1 member per group")
+        if self.n_vue_groups < 0:
+            raise ConfigError(f"n_vue_groups must be >= 0, got {self.n_vue_groups}")
+        if self.members_per_group < 1:
+            raise ConfigError(f"members_per_group must be >= 1, got {self.members_per_group}")
         # SimClock checks the slot/mini-slot ratio
         try:
             SimClock(0, self.tau_s, self.mini_slot_s)
@@ -235,7 +245,6 @@ class SlotMetrics:
     slot: int
     level_J: Sequence[float]
     level_end_J: Sequence[float]
-    queue_J: Sequence[float]
     role: Sequence[str]
     demand_J: Sequence[float]
     delivered_J: Sequence[float]
@@ -394,8 +403,6 @@ class Simulation:
                     )
         # each station's load cluster: consumption is computed once per cluster
         self.cluster_of = [profiles.assignment[i] for i in self.ids]
-        self.queues = VirtualQueues(config.n_bs)
-        self.prev_consumption: list[float] = [0.0] * config.n_bs
         jitter_rng = random.Random(derive_seed(config.seed, _SEED_JITTER))
         self.jitter = [
             1.0
@@ -411,8 +418,8 @@ class Simulation:
         n = cfg.n_bs
         cap, low, up = cfg.beta_max_J, cfg.beta_low_J, cfg.beta_up_J
         on_grid = self.on_grid
-        # no per-station list is mutated once built: battery_steps and the
-        # queue advance return new ones, so the slot's metrics need no copies
+        # no per-station list is mutated once built: battery_steps returns
+        # new ones, so the slot's metrics need no copies
         levels_start = self.levels
 
         # mobility first: the association set is this slot's priority input
@@ -436,8 +443,6 @@ class Simulation:
                 surpluses,
                 (cfg.rows, cfg.cols),
                 self.fractions.__getitem__,
-                self.queues.values,
-                self.prev_consumption,
                 cfg.lam,
                 self.policy_rng,
             )
@@ -479,16 +484,11 @@ class Simulation:
         delivered = [0.0] * n
         for d in decisions:
             delivered[d.consumer_id] += d.delivered_J
-        queue_start = self.queues.values
-        self.queues.advance_all(delivered, cap)
-
-        self.prev_consumption = consumption
 
         return SlotMetrics(
             slot=t,
             level_J=levels_start,
             level_end_J=self.levels,
-            queue_J=queue_start,
             role=roles,
             demand_J=demand,
             delivered_J=delivered,
@@ -611,7 +611,9 @@ def coverage_pct(demand_J: float, delivered_J: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# one metrics.csv row; every field is an int or a float, so repr renders each
+# one metrics.csv row; every field is an int or a float, so repr renders each.
+# queue_sum_J is always 0.0, as every virtual queue is (see
+# allocation.lyapunov_ring_picks); the column stays so the file keeps its bytes
 SlotRow = collections.namedtuple(
     "SlotRow",
     "slot n_sources n_consumers demand_J delivered_J gross_J flow_sum_J purchase_J harvest_J"
@@ -684,9 +686,8 @@ class SummaryAccumulator:
 
     Zero rule: a slot's zeros are not added up. A vector with no non-zero
     entry (any() is false) totals +0.0, which is what left_sum gives for
-    signed zeros; with no non-zero delivery, the restored minimum is the
-    level minimum unless that is a zero; and a slot whose queues are all
-    zero leaves queue_sums as it is. Each short-cut keeps every bit.
+    signed zeros; and with no non-zero delivery, the restored minimum is
+    the level minimum unless that is a zero. Each short-cut keeps every bit.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -698,12 +699,10 @@ class SummaryAccumulator:
         self.demand_slots = self.unmet_slots = 0
         self.outages = self.shortfalls = self.overruns = self.clamps = 0
         self.min_level = self.min_restored = math.inf
-        # per-station sums of the slot-start queue values, for the theorem's means
-        self.queue_sums = [0] * config.n_bs
 
     def add(self, m: SlotMetrics) -> SlotRow:
         """Fold one slot into the totals and return its metrics row."""
-        flows, received, queues = m.flow_J, m.delivered_J, m.queue_J
+        flows, received = m.flow_J, m.delivered_J
         demand = _total(m.demand_J)
         delivered = _total(received)
         negative = left_sum((f for f in flows if f < 0.0), 0.0) if any(flows) else 0.0
@@ -741,27 +740,25 @@ class SummaryAccumulator:
         self.shortfalls += len(m.shortfall_ids)
         self.overruns += m.n_overruns
         self.clamps += len(m.clamped_ids)
-        queue_total = 0.0
-        if any(queues):
-            # a sum of signed zeros from the int 0 is +0.0, which divides and
-            # adds as the int 0 does, so all-zero slots leave the sums alone
-            self.queue_sums = [total + q for total, q in zip(self.queue_sums, queues)]
-            queue_total = left_sum(queues)
         return SlotRow(
             m.slot, m.role.count("source"), m.role.count("consumer"),
             demand, delivered, -negative, _total(flows), purchase, harvest, consumption,
             len(m.outage_ids), len(m.shortfall_ids), m.n_overruns, len(m.association),
-            min_level, min_restored, level / self.config.n_bs, queue_total,
+            min_level, min_restored, level / self.config.n_bs, 0.0,
         )
 
     def theorem(self) -> TheoremDiagnostic | None:
-        """The penalty-bound diagnostic against the run's mean demand; None without slots."""
+        """The penalty-bound diagnostic against the run's mean demand; None without slots.
+
+        Every queue mean is 0, so none is passed: left_sum(()) is the int 0,
+        and (0 - cap) ** 2 has the bits of (0.0 - cap) ** 2.
+        """
         n, cfg = self.n_slots, self.config
         if not n:
             return None
         return allocation.theorem1_diagnostic(
             self.delivered / n,
-            [total / n for total in self.queue_sums],
+            (),
             cfg.lam,
             cfg.beta_max_J,
             target_value=self.demand / n,

@@ -59,7 +59,7 @@ def test_totals_that_reach_outputs_round_left_to_right(compensated_builtin, tmp_
     # the negative flows -1e16, -1.0, -1.0 lose both ones left to right
     flows = (-1e16, -1.0, -1.0)
     metrics = engine.SlotMetrics(
-        0, cancelling, zeros, cancelling, ("idle",) * n, cancelling, cancelling,
+        0, cancelling, zeros, ("idle",) * n, cancelling, cancelling,
         flows, cancelling, cancelling, cancelling, frozenset(), (), (), (), (), 0,
     )
     assert metrics.total_demand_J == metrics.total_delivered_J == 0.0

@@ -295,12 +295,11 @@ class OracleAccumulator(engine.SummaryAccumulator):
         self.shortfalls += len(m.shortfall_ids)
         self.overruns += m.n_overruns
         self.clamps += len(m.clamped_ids)
-        self.queue_sums = [total + q for total, q in zip(self.queue_sums, m.queue_J)]
         return engine.SlotRow(
             m.slot, m.role.count("source"), m.role.count("consumer"),
             demand, delivered, -negative, left_sum(m.flow_J), purchase, harvest, consumption,
             len(m.outage_ids), len(m.shortfall_ids), m.n_overruns, len(m.association),
-            min_level, min_restored, level / self.config.n_bs, left_sum(m.queue_J),
+            min_level, min_restored, level / self.config.n_bs, 0.0,
         )
 
 
@@ -351,8 +350,7 @@ def slot_streams(draw) -> tuple[SimConfig, list[SlotMetrics]]:
     roles = st.lists(st.sampled_from(("source", "consumer", "neutral")), min_size=n, max_size=n)
     slots = [
         SlotMetrics(
-            slot=t, level_J=draw(vector), level_end_J=draw(vector), queue_J=draw(vector),
-            role=draw(roles), demand_J=draw(vector), delivered_J=draw(vector),
+            slot=t, level_J=draw(vector), level_end_J=draw(vector), role=draw(roles), demand_J=draw(vector), delivered_J=draw(vector),
             flow_J=draw(vector), purchase_J=draw(vector), harvest_J=draw(vector),
             consumption_J=draw(vector), association=frozenset(draw(ids)), outage_ids=draw(ids),
             shortfall_ids=draw(ids), clamped_ids=draw(ids), capped_ids=draw(ids),
@@ -367,7 +365,7 @@ def quiet_slot(level_J, delivered_J) -> SlotMetrics:
     n = len(level_J)
     zeros = [0.0] * n
     return SlotMetrics(
-        0, level_J, level_J, zeros, ["neutral"] * n, zeros, delivered_J, zeros, zeros, zeros,
+        0, level_J, level_J, ["neutral"] * n, zeros, delivered_J, zeros, zeros, zeros,
         zeros, frozenset(), [], [], [], [], 0,
     )
 
