@@ -383,10 +383,8 @@ class TheoremDiagnostic:
     lhs: float
     rhs: float
     target_value: float
-    lam: float
     satisfied: bool
     skipped: bool = False
-    note: str = ""
 
 
 def theorem1_report(
@@ -424,11 +422,10 @@ def theorem1_diagnostic(
     """theorem1_report from the run's means, which a streamed run keeps as running sums."""
     if lam == 0.0:
         return TheoremDiagnostic(
-            lhs=mean_delivered_J, rhs=float("nan"), target_value=target_value, lam=lam,
-            satisfied=False, skipped=True, note="control weight is zero; bound undefined",
+            lhs=mean_delivered_J, rhs=float("nan"), target_value=target_value,
+            satisfied=False, skipped=True,
         )
     rhs = target_value + (left_sum(mean_queues_J) - cap_J) ** 2 / (2.0 * lam)
     return TheoremDiagnostic(
-        lhs=mean_delivered_J, rhs=rhs, target_value=target_value, lam=lam,
-        satisfied=mean_delivered_J <= rhs,
+        lhs=mean_delivered_J, rhs=rhs, target_value=target_value, satisfied=mean_delivered_J <= rhs,
     )

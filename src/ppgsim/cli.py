@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import allocation, engine, ingest
-from .engine import RunResult, RunSummary, SimConfig
+from .engine import RunSummary, SimConfig
 from .errors import ConfigError, TraceFormatError
 from .numeric import left_sum
 
@@ -90,7 +91,7 @@ def _load_config(args: argparse.Namespace) -> SimConfig:
 
 
 def emit_plot_data(
-    results: dict[str, RunResult | RunSummary],
+    results: dict[str, RunSummary],
     out_dir: str | Path,
     hourly: bool = False,
 ) -> list[Path]:
@@ -124,7 +125,7 @@ def emit_plot_data(
     return written
 
 
-def emit_lambda_table(sweep: list[tuple[float, RunResult | RunSummary]], out_dir: str | Path) -> Path:
+def emit_lambda_table(sweep: list[tuple[float, RunSummary]], out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["lambda,mean_eb_J,delivered_J,demand_coverage_pct"]
@@ -211,9 +212,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_traces(args: argparse.Namespace) -> int:
+    # checked before any file is made: each would write a harvest file that
+    # validate-traces rejects
+    if args.days < 1:
+        raise ConfigError(f"--days must be >= 1, got {args.days}")
+    slots = args.days * 1440
+    if not (args.tau > 0 and math.isfinite(args.tau * (slots - 1))):
+        raise ConfigError(f"--tau must be finite and positive, with a finite last timestamp, got {args.tau}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    slots = args.days * 1440
     clusters = ingest.synthetic_profiles(args.seed, 1440)
     solar, wind = ingest.synthetic_harvest_raw(args.seed, slots, 1440)
     profiles_path = out / "profiles.csv"

@@ -5,7 +5,8 @@ charge/discharge or leakage losses, capped at capacity and clamped at zero.
 
 The per-slot rules work on plain floats: ``bs_consumption`` gives a
 station's consumption at a load, ``roles_of`` reads every station's
-trading role from its reported level and ``battery_steps`` advances every
+trading role from its reported level, as the demands of the consumers and
+the surpluses of the sources, and ``battery_steps`` advances every
 battery by one slot, grid purchase included, each in one pass over the
 stations. The engine calls them directly; ``role_of`` and
 ``battery_step`` are the same passes over one station, and
@@ -89,44 +90,43 @@ def roles_of(
     capacity_J: float,
     low_J: float,
     up_J: float,
-) -> tuple[list[str], list[float], dict[int, float], dict[int, float]]:
+) -> tuple[list[float], dict[int, float], dict[int, float]]:
     """Trading role of every station at its reported level, in one pass.
 
-    Returns (roles, demand vector, demands, surpluses): each station's
-    role ("source", "consumer" or "neutral"), each station's demand (zero
-    unless it is a consumer), and {id: amount} maps of the consumers and of
-    the sources; vectors are indexed by station id. Levels strictly above the upper threshold are
-    tradeable surplus. An off-grid station strictly below the lower
-    threshold demands the gap. Grid-connected stations are never
-    consumers; they cover deficits by purchasing from the grid. A level
-    outside [0, capacity_J], NaN included, raises ValueError naming the
-    station; vectors of different lengths raise ValueError.
+    Returns (demand vector, demands, surpluses): each station's demand
+    (zero unless it is a consumer), indexed by station id, and {id: amount}
+    maps of the consumers and of the sources; a station in neither map is
+    neutral. Levels strictly above the upper threshold are tradeable
+    surplus. An off-grid station strictly below the lower threshold demands
+    the gap. Grid-connected stations are never consumers; they cover
+    deficits by purchasing from the grid. A level outside [0, capacity_J],
+    NaN included, raises ValueError naming the station; vectors of
+    different lengths raise ValueError.
     """
-    n = len(levels_J)
-    roles = ["neutral"] * n
-    demand = [0.0] * n
+    demand = [0.0] * len(levels_J)
     demands: dict[int, float] = {}
     surpluses: dict[int, float] = {}
     for i, (level, on_grid) in enumerate(zip(levels_J, grid_connected, strict=True)):
         if not (0.0 <= level <= capacity_J):
             raise ValueError(f"station {i}: level {level} outside [0, {capacity_J}]")
         if level > up_J:
-            roles[i] = "source"
             surpluses[i] = level - up_J
         elif level < low_J and not on_grid:
-            roles[i] = "consumer"
             demands[i] = demand[i] = low_J - level
-    return roles, demand, demands, surpluses
+    return demand, demands, surpluses
 
 
 def role_of(level_J: float, grid_connected: bool, low_J: float, up_J: float) -> tuple[str, float]:
     """Trading role of one station at this level: (role, amount).
 
+    The role is "source", "consumer" or "neutral", read from the maps of
     roles_of for one station with no upper bound on the level; see it for
     the rules. A neutral station's amount is zero.
     """
-    roles, demand, _, surpluses = roles_of([level_J], [grid_connected], math.inf, low_J, up_J)
-    return roles[0], surpluses.get(0, demand[0])
+    demand, demands, surpluses = roles_of([level_J], [grid_connected], math.inf, low_J, up_J)
+    if surpluses:
+        return "source", surpluses[0]
+    return "consumer" if demands else "neutral", demand[0]
 
 
 def classify_role(buffer: EnergyBuffer, grid_connected: bool) -> tuple[str, float]:

@@ -29,7 +29,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, TextIO
 
 from . import allocation, domain, ingest, mobility, topology, transfer
 from .allocation import TheoremDiagnostic
@@ -245,7 +245,8 @@ class SlotMetrics:
     slot: int
     level_J: Sequence[float]
     level_end_J: Sequence[float]
-    role: Sequence[str]
+    n_sources: int
+    n_consumers: int
     demand_J: Sequence[float]
     delivered_J: Sequence[float]
     flow_J: Sequence[float]
@@ -260,40 +261,8 @@ class SlotMetrics:
     n_overruns: int
 
     @property
-    def total_demand_J(self) -> float:
-        return left_sum(self.demand_J)
-
-    @property
-    def total_delivered_J(self) -> float:
-        return left_sum(self.delivered_J)
-
-    @property
     def total_flow_J(self) -> float:
         return left_sum(self.flow_J)
-
-
-@dataclass
-class RunResult:
-    """A whole run held in memory: every slot's metrics and every job."""
-
-    config: SimConfig
-    slots: list[SlotMetrics]
-    jobs: list[tuple[int, TransferJob]]
-    theorem: TheoremDiagnostic | None
-    summary: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def grants(self) -> list[LinkGrant]:
-        """Link grants of the whole run, in slot, job and route order."""
-        return [grant for slot, job in self.jobs for grant in transfer.job_grants(slot, job)]
-
-    @property
-    def demand_series(self) -> list[float]:
-        return [m.total_demand_J for m in self.slots]
-
-    @property
-    def delivered_series(self) -> list[float]:
-        return [m.total_delivered_J for m in self.slots]
 
 
 @dataclass
@@ -310,6 +279,19 @@ class RunSummary:
     paths: dict[str, Path] = field(default_factory=dict)
     demand_series: list[float] | None = None
     delivered_series: list[float] | None = None
+
+
+@dataclass
+class RunResult(RunSummary):
+    """A whole run held in memory: its summary and series, every slot's metrics and every job."""
+
+    slots: list[SlotMetrics] = field(kw_only=True)
+    jobs: list[tuple[int, TransferJob]] = field(kw_only=True)
+
+    @property
+    def grants(self) -> list[LinkGrant]:
+        """Link grants of the whole run, in slot, job and route order."""
+        return [grant for slot, job in self.jobs for grant in transfer.job_grants(slot, job)]
 
 
 def build_traces(config: SimConfig) -> tuple[LoadProfileSet, HarvestTraceSet]:
@@ -431,7 +413,7 @@ class Simulation:
         else:
             serving = log[t]
 
-        roles, demand, demands, surpluses = domain.roles_of(levels_start, on_grid, cap, low, up)
+        demand, demands, surpluses = domain.roles_of(levels_start, on_grid, cap, low, up)
 
         # a slot without consumers trades nothing and draws nothing from the
         # policy rng; the config already checked the policy and lam
@@ -489,7 +471,8 @@ class Simulation:
             slot=t,
             level_J=levels_start,
             level_end_J=self.levels,
-            role=roles,
+            n_sources=len(surpluses),
+            n_consumers=len(demands),
             demand_J=demand,
             delivered_J=delivered,
             flow_J=flows,
@@ -513,15 +496,8 @@ class Simulation:
         """
         if sink is None:
             sink = ResultSink(self.config)
-        try:
-            for t in range(self.config.horizon_slots):
-                metrics, outcome = self.step(t)
-                sink.slot(metrics, outcome.jobs)
-        except BaseException:
-            # the sink's files are released; what it built of the run is dropped
-            sink.close()
-            raise
-        return sink.close()
+        steps = map(self.step, range(self.config.horizon_slots))
+        return _feed(sink, ((metrics, outcome.jobs) for metrics, outcome in steps))
 
 
 SinkFactory = Callable[[SimConfig], "SlotSink"]
@@ -604,10 +580,11 @@ def coverage_pct(demand_J: float, delivered_J: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Slot sinks. Simulation.run hands each slot to one; the summary, the file
-# writers and the in-memory result all go through the accumulator and the
-# row formatters below, so a streamed run and a stored one write the same
-# bytes. Float fields use repr so identical runs write identical bytes.
+# Slot sinks. Simulation.run hands each slot to one; the file writers and
+# the in-memory result are SummarySinks, so every run's totals come from one
+# SummarySink.add and its rows from the formatters below, and a streamed run
+# and a stored one write the same bytes. Float fields use repr so identical
+# runs write identical bytes.
 # ---------------------------------------------------------------------------
 
 
@@ -673,7 +650,19 @@ def _total(values: Sequence[float]) -> float:
     return left_sum(values) if any(values) else 0.0
 
 
-class SummaryAccumulator:
+class SlotSink(Protocol):
+    """Receives a run one slot at a time; Simulation.run returns what close() returns.
+
+    A slot is its metrics and its jobs. A sink that wants vehicle positions
+    steps a fleet of its own from make_fleet, as FileSink does.
+    """
+
+    def slot(self, metrics: SlotMetrics, jobs: Sequence[TransferJob]) -> None: ...
+
+    def close(self) -> object: ...
+
+
+class SummarySink:
     """A run's summary totals, fed one slot at a time in slot order.
 
     Each total starts from the int 0 and adds one slot's value, as
@@ -683,6 +672,7 @@ class SummaryAccumulator:
     level of a station is its level plus the energy delivered to it that
     slot: the level the allocator restores a deficient station to, at or
     above the lower threshold under a policy that meets every demand.
+    With keep_series, each slot's demand and delivered totals are kept too.
 
     Zero rule: a slot's zeros are not added up. A vector with no non-zero
     entry (any() is false) totals +0.0, which is what left_sum gives for
@@ -690,7 +680,7 @@ class SummaryAccumulator:
     the level minimum unless that is a zero. Each short-cut keeps every bit.
     """
 
-    def __init__(self, config: SimConfig) -> None:
+    def __init__(self, config: SimConfig, keep_series: bool = False) -> None:
         self.config = config
         self.offgrid = [i for i in range(config.n_bs) if i not in config.on_grid_ids]
         self.n_slots = 0
@@ -699,6 +689,8 @@ class SummaryAccumulator:
         self.demand_slots = self.unmet_slots = 0
         self.outages = self.shortfalls = self.overruns = self.clamps = 0
         self.min_level = self.min_restored = math.inf
+        self.demand_series: list[float] | None = [] if keep_series else None
+        self.delivered_series: list[float] | None = [] if keep_series else None
 
     def add(self, m: SlotMetrics) -> SlotRow:
         """Fold one slot into the totals and return its metrics row."""
@@ -740,8 +732,11 @@ class SummaryAccumulator:
         self.shortfalls += len(m.shortfall_ids)
         self.overruns += m.n_overruns
         self.clamps += len(m.clamped_ids)
+        if self.demand_series is not None:
+            self.demand_series.append(demand)
+            self.delivered_series.append(delivered)
         return SlotRow(
-            m.slot, m.role.count("source"), m.role.count("consumer"),
+            m.slot, m.n_sources, m.n_consumers,
             demand, delivered, -negative, _total(flows), purchase, harvest, consumption,
             len(m.outage_ids), len(m.shortfall_ids), m.n_overruns, len(m.association),
             min_level, min_restored, level / self.config.n_bs, 0.0,
@@ -801,43 +796,15 @@ class SummaryAccumulator:
             summary[f"config.{key}"] = value
         return summary
 
-
-class SlotSink(Protocol):
-    """Receives a run one slot at a time; Simulation.run returns what close() returns.
-
-    A slot is its metrics and its jobs. A sink that wants vehicle positions
-    steps a fleet of its own from make_fleet, as FileSink does.
-    """
-
-    def slot(self, metrics: SlotMetrics, jobs: Sequence[TransferJob]) -> None: ...
-
-    def close(self) -> object: ...
-
-
-class SummarySink:
-    """Keeps only the running summary, and on request each slot's demand and delivered totals."""
-
-    def __init__(self, config: SimConfig, keep_series: bool = False) -> None:
-        self.totals = SummaryAccumulator(config)
-        self.demand_series: list[float] | None = [] if keep_series else None
-        self.delivered_series: list[float] | None = [] if keep_series else None
-
-    def add(self, metrics: SlotMetrics) -> SlotRow:
-        row = self.totals.add(metrics)
-        if self.demand_series is not None:
-            self.demand_series.append(row.demand_J)
-            self.delivered_series.append(row.delivered_J)
-        return row
-
     def slot(self, metrics, jobs) -> None:
         self.add(metrics)
 
     def close(self) -> RunSummary:
-        theorem = self.totals.theorem()
+        theorem = self.theorem()
         return RunSummary(
-            self.totals.config,
+            self.config,
             theorem,
-            self.totals.summary(theorem),
+            self.summary(theorem),
             demand_series=self.demand_series,
             delivered_series=self.delivered_series,
         )
@@ -911,7 +878,7 @@ class ResultSink(SummarySink):
     """Keeps every slot and job: the in-memory RunResult."""
 
     def __init__(self, config: SimConfig) -> None:
-        super().__init__(config)
+        super().__init__(config, keep_series=True)
         self.slots: list[SlotMetrics] = []
         self.jobs: list[tuple[int, TransferJob]] = []
 
@@ -921,32 +888,37 @@ class ResultSink(SummarySink):
         self.jobs.extend((metrics.slot, job) for job in jobs)
 
     def close(self) -> RunResult:
-        done = super().close()
-        return RunResult(done.config, self.slots, self.jobs, done.theorem, done.summary)
+        return RunResult(**vars(super().close()), slots=self.slots, jobs=self.jobs)
 
 
-def _replay(result: RunResult, sink: SlotSink):
-    """Feed a stored run's slots to a sink, as Simulation.run did, and close it, also when a slot raises."""
-    jobs: dict[int, list[TransferJob]] = {}
-    for slot, job in result.jobs:
-        jobs.setdefault(slot, []).append(job)
+def _feed(sink: SlotSink, slots: Iterable[tuple[SlotMetrics, Sequence[TransferJob]]]):
+    """Hand each (metrics, jobs) to the sink in order and return what its close() returns.
+
+    A slot that raises closes the sink before the error propagates: its
+    files are released, and what it built of the run is dropped.
+    """
     try:
-        for m in result.slots:
-            sink.slot(m, jobs.get(m.slot, ()))
+        for metrics, jobs in slots:
+            sink.slot(metrics, jobs)
     except BaseException:
         sink.close()
         raise
     return sink.close()
 
 
+def _replay(result: RunResult, sink: SlotSink):
+    """Feed a stored run's slots to a sink, as Simulation.run did."""
+    jobs: dict[int, list[TransferJob]] = {}
+    for slot, job in result.jobs:
+        jobs.setdefault(slot, []).append(job)
+    return _feed(sink, ((m, jobs.get(m.slot, ())) for m in result.slots))
+
+
 def summarize(result: RunResult) -> dict[str, object]:
-    totals = SummaryAccumulator(result.config)
-    for m in result.slots:
-        totals.add(m)
-    return totals.summary(result.theorem)
+    return _replay(result, SummarySink(result.config)).summary
 
 
-def summary_rows(result: RunResult | RunSummary) -> list[str]:
+def summary_rows(result: RunSummary) -> list[str]:
     rows = []
     for key, value in result.summary.items():
         if isinstance(value, float):
@@ -956,9 +928,7 @@ def summary_rows(result: RunResult | RunSummary) -> list[str]:
     return rows
 
 
-def write_outputs(
-    result: RunResult | RunSummary, out_dir: str | Path, prefix: str = ""
-) -> dict[str, Path]:
+def write_outputs(result: RunSummary, out_dir: str | Path, prefix: str = "") -> dict[str, Path]:
     """Write a run's files and return the path of each: metrics, transfers, summary, trajectories.
 
     A stored RunResult is replayed through a FileSink. A streamed

@@ -235,6 +235,22 @@ class TestTraceCommands:
         assert main(["gen-traces", "--out", str(out), "--seed", "3", "--days", "120"]) == EXIT_OK
         assert main(["validate-traces", "--harvest", str(out / "harvest.csv")]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--days", "0"), ("--days", "-1"),
+            ("--tau", "0"), ("--tau", "-60"), ("--tau", "nan"), ("--tau", "inf"),
+            # finite, but the timestamp of slot 180 overflows to inf
+            ("--tau", "1e306"),
+        ],
+    )
+    def test_gen_rejects_arguments_that_make_a_useless_file(self, tmp_path, capsys, flag, value):
+        # each would write a harvest file that validate-traces rejects
+        out = tmp_path / "traces"
+        assert main(["gen-traces", "--out", str(out), flag, value]) == EXIT_VALIDATION
+        assert f"error: {flag} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_rejects_corrupt_profiles(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("slot,cluster0,cluster1,cluster2,cluster3\n0,2.0,0.5,0.5,0.5\n")

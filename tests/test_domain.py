@@ -217,7 +217,7 @@ class TestGridPurchase:
 
 class TestRoleOf:
     def test_kinds_match_role_enum(self):
-        # the three role names roles_of writes into the roles vector
+        # the three role names role_of reads from the maps of roles_of
         assert role_of(400e3, False, 147e3, 343e3) == ("source", 400e3 - 343e3)
         assert role_of(100e3, False, 147e3, 343e3) == ("consumer", 147e3 - 100e3)
         assert role_of(100e3, True, 147e3, 343e3) == ("neutral", 0.0)
@@ -356,7 +356,7 @@ LOW = 147e3
 
 def engine_roles(levels, on_grid, cap, low, up):
     """Reference: the engine's per-station role loop before roles_of existed, role_of inlined."""
-    roles, demands, surpluses = [], {}, {}
+    demands, surpluses = {}, {}
     for i, level in enumerate(levels):
         if not (0 <= level <= cap):
             raise ValueError(f"station {i}: level {level} outside [0, {cap}]")
@@ -366,19 +366,18 @@ def engine_roles(levels, on_grid, cap, low, up):
             role, amount = "consumer", low - level
         else:
             role, amount = "neutral", 0.0
-        roles.append(role)
         if role == "consumer":
             demands[i] = amount
         elif role == "source":
             surpluses[i] = amount
-    return roles, [demands.get(i, 0.0) for i in range(len(levels))], demands, surpluses
+    return [demands.get(i, 0.0) for i in range(len(levels))], demands, surpluses
 
 
 def float_bits(result):
     """A roles result with each float as its bytes, so that signed zeros and NaN compare exactly."""
-    roles, demand, demands, surpluses = result
+    demand, demands, surpluses = result
     return (
-        roles, [bits(v) for v in demand],
+        [bits(v) for v in demand],
         [(i, bits(v)) for i, v in demands.items()], [(i, bits(v)) for i, v in surpluses.items()],
     )
 
@@ -408,11 +407,14 @@ class TestRolesOf:
     @given(st.lists(st.tuples(ROLE_LEVELS, st.booleans()), max_size=40))
     def test_matches_per_station_rule(self, stations):
         levels, on_grid = [s[0] for s in stations], [s[1] for s in stations]
-        got = roles_of(levels, on_grid, CAP, LOW, UP)
-        assert float_bits(got) == float_bits(engine_roles(levels, on_grid, CAP, LOW, UP))
-        roles, demand, _, surpluses = got
+        expected = engine_roles(levels, on_grid, CAP, LOW, UP)
+        assert float_bits(roles_of(levels, on_grid, CAP, LOW, UP)) == float_bits(expected)
+        _, demands, surpluses = expected
         assert [role_of(level, g, LOW, UP) for level, g in stations] == [
-            (role, surpluses.get(i, demand[i])) for i, role in enumerate(roles)
+            ("source", surpluses[i]) if i in surpluses
+            else ("consumer", demands[i]) if i in demands
+            else ("neutral", 0.0)
+            for i in range(len(stations))
         ]
 
     @settings(max_examples=200, deadline=None)
@@ -441,21 +443,17 @@ class TestRolesOf:
 
 
 def int_guard_roles_of(levels_J, grid_connected, capacity_J, low_J, up_J):
-    n = len(levels_J)
-    roles = ["neutral"] * n
-    demand = [0.0] * n
+    demand = [0.0] * len(levels_J)
     demands = {}
     surpluses = {}
     for i, (level, on_grid) in enumerate(zip(levels_J, grid_connected, strict=True)):
         if not (0 <= level <= capacity_J):
             raise ValueError(f"station {i}: level {level} outside [0, {capacity_J}]")
         if level > up_J:
-            roles[i] = "source"
             surpluses[i] = level - up_J
         elif level < low_J and not on_grid:
-            roles[i] = "consumer"
             demands[i] = demand[i] = low_J - level
-    return roles, demand, demands, surpluses
+    return demand, demands, surpluses
 
 
 def int_guard_battery_steps(

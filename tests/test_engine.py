@@ -197,9 +197,9 @@ class TestStepSemantics:
         profiles, harvest = quiet_traces(cfg)
         result = run(cfg, profiles, harvest)
         for m in result.slots:
-            assert set(m.role) == {"neutral"}
-            assert m.total_demand_J == 0.0
-            assert m.total_delivered_J == 0.0
+            assert m.n_sources == m.n_consumers == 0
+            assert not any(m.demand_J)
+            assert not any(m.delivered_J)
             assert not any(m.purchase_J)
             assert m.level_J == m.level_end_J
 
@@ -358,7 +358,7 @@ class TestCompareAndSweep:
         cfg = dataclasses.replace(reference_config, horizon_slots=30)
         results = compare(cfg, ["lyapunov", "radial", "random"])
         # same traces, mobility and initial state: slot 0 demand identical
-        first = [r.slots[0].total_demand_J for r in results.values()]
+        first = [r.demand_series[0] for r in results.values()]
         assert all(v == first[0] for v in first)
 
     def test_sweep_rows(self, reference_config):
@@ -383,7 +383,7 @@ class TestCompareAndSweep:
         assert runs == []
 
     def test_coverage_on_empty_demand_is_full(self):
-        totals = engine.SummaryAccumulator(SimConfig(horizon_slots=0))
+        totals = engine.SummarySink(SimConfig(horizon_slots=0))
         assert totals.summary(None)["demand_coverage_pct"] == 100.0
         cfg = SimConfig(horizon_slots=3)
         profiles, harvest = quiet_traces(cfg)

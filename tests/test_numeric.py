@@ -59,18 +59,18 @@ def test_totals_that_reach_outputs_round_left_to_right(compensated_builtin, tmp_
     # the negative flows -1e16, -1.0, -1.0 lose both ones left to right
     flows = (-1e16, -1.0, -1.0)
     metrics = engine.SlotMetrics(
-        0, cancelling, zeros, ("idle",) * n, cancelling, cancelling,
+        0, cancelling, zeros, 0, 0, cancelling, cancelling,
         flows, cancelling, cancelling, cancelling, frozenset(), (), (), (), (), 0,
     )
-    assert metrics.total_demand_J == metrics.total_delivered_J == 0.0
     assert metrics.total_flow_J == -1e16
     config = engine.SimConfig(rows=1, cols=3, on_grid_ids=())
-    row = engine.SummaryAccumulator(config).add(metrics)
+    row = engine.SummarySink(config).add(metrics)
+    assert (row.demand_J, row.delivered_J) == (0.0, 0.0)
     assert (row.purchase_J, row.harvest_J, row.consumption_J, row.mean_level_J, row.queue_sum_J) == (0.0,) * 5
     assert (row.gross_J, row.flow_sum_J) == (1e16, -1e16)
 
     def coverage(pairs):
-        totals = engine.SummaryAccumulator(config)
+        totals = engine.SummarySink(config)
         for demand_J, delivered_J in pairs:
             totals.add(dataclasses.replace(
                 metrics, demand_J=(demand_J, 0.0, 0.0), delivered_J=(delivered_J, 0.0, 0.0)

@@ -4,10 +4,10 @@ The CLI's run, compare and sweep-lambda hand each slot to a sink that
 writes it out or folds it into running totals, and keep nothing per slot.
 Library callers get the whole run in memory from engine.run, and
 write_outputs, emit_plot_data and emit_lambda_table write it. Both paths
-share one row formatter and one summary accumulator; these tests hold
-them to the same bytes, and hold the streamed path to flat memory. The
-accumulator's zero short-cuts and the transfer-field memo are held to
-the plain code they replaced.
+share one row formatter and one summary sink; these tests hold them to
+the same bytes, and hold the streamed path to flat memory. The summary
+sink's zero short-cuts and the transfer-field memo are held to the plain
+code they replaced.
 """
 
 import dataclasses
@@ -142,6 +142,17 @@ def test_pinned_examples_run_with_and_without_transfers():
     assert idle.slots and not idle.jobs
 
 
+def test_stored_series_are_the_metrics_rows(tmp_path):
+    # the rows' totals are held to the plain fold in TestSummaryShortCuts
+    result = engine.run(TRADING)
+    header, *rows = engine.write_outputs(result, tmp_path)["metrics"].read_text().splitlines()
+    columns = [row.split(",") for row in rows]
+    for name, series in (("demand_J", result.demand_series), ("delivered_J", result.delivered_series)):
+        k = header.split(",").index(name)
+        assert list(map(repr, series)) == [row[k] for row in columns]
+    assert any(result.delivered_series)
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(config=small_configs(), hourly=st.booleans())
 @example(config=TRADING, hourly=False)
@@ -264,11 +275,11 @@ class TestMemory:
         assert not self.flat_in_horizon(reference_config, None)
 
 
-class OracleAccumulator(engine.SummaryAccumulator):
-    """The accumulator with every vector folded and every minimum taken, in every slot.
+class OracleAccumulator(engine.SummarySink):
+    """The summary sink with every vector folded and every minimum taken, in every slot.
 
-    SummaryAccumulator.add skips the zeros of a quiet slot; this is the
-    add it replaced, kept as the reference for those short-cuts.
+    SummarySink.add skips the zeros of a quiet slot; this is the add it
+    replaced, kept as the reference for those short-cuts.
     """
 
     def add(self, m: SlotMetrics) -> engine.SlotRow:
@@ -303,14 +314,14 @@ class OracleAccumulator(engine.SummaryAccumulator):
         self.overruns += m.n_overruns
         self.clamps += len(m.clamped_ids)
         return engine.SlotRow(
-            m.slot, m.role.count("source"), m.role.count("consumer"),
+            m.slot, m.n_sources, m.n_consumers,
             demand, delivered, -negative, left_sum(m.flow_J), purchase, harvest, consumption,
             len(m.outage_ids), len(m.shortfall_ids), m.n_overruns, len(m.association),
             min_level, min_restored, level / self.config.n_bs, 0.0,
         )
 
 
-def settled(totals: engine.SummaryAccumulator) -> str:
+def settled(totals: engine.SummarySink) -> str:
     """The run's summary, theorem included, as repr; a bound that overflows gives its error."""
     try:
         theorem = totals.theorem()
@@ -320,7 +331,7 @@ def settled(totals: engine.SummaryAccumulator) -> str:
 
 
 def assert_same_totals(config: SimConfig, slots) -> None:
-    fast, oracle = engine.SummaryAccumulator(config), OracleAccumulator(config)
+    fast, oracle = engine.SummarySink(config), OracleAccumulator(config)
     for m in slots:
         assert repr(fast.add(m)) == repr(oracle.add(m))
     assert settled(fast) == settled(oracle)
@@ -354,10 +365,11 @@ def slot_streams(draw) -> tuple[SimConfig, list[SlotMetrics]]:
         vectors.append(st.just([*CANCELLING, *[0.0] * (n - 3)]))
     vector = st.one_of(*vectors)
     ids = st.lists(st.sampled_from(everyone), unique=True)
-    roles = st.lists(st.sampled_from(("source", "consumer", "neutral")), min_size=n, max_size=n)
+    counts = st.integers(0, n)
     slots = [
         SlotMetrics(
-            slot=t, level_J=draw(vector), level_end_J=draw(vector), role=draw(roles), demand_J=draw(vector), delivered_J=draw(vector),
+            slot=t, level_J=draw(vector), level_end_J=draw(vector), n_sources=draw(counts),
+            n_consumers=draw(counts), demand_J=draw(vector), delivered_J=draw(vector),
             flow_J=draw(vector), purchase_J=draw(vector), harvest_J=draw(vector),
             consumption_J=draw(vector), association=frozenset(draw(ids)), outage_ids=draw(ids),
             shortfall_ids=draw(ids), clamped_ids=draw(ids), capped_ids=draw(ids),
@@ -372,7 +384,7 @@ def quiet_slot(level_J, delivered_J) -> SlotMetrics:
     n = len(level_J)
     zeros = [0.0] * n
     return SlotMetrics(
-        0, level_J, level_J, ["neutral"] * n, zeros, delivered_J, zeros, zeros, zeros,
+        0, level_J, level_J, 0, 0, zeros, delivered_J, zeros, zeros, zeros,
         zeros, frozenset(), [], [], [], [], 0,
     )
 
@@ -381,7 +393,7 @@ OFF_GRID_PAIR = SimConfig(rows=1, cols=2, on_grid_ids=())
 
 
 class TestSummaryShortCuts:
-    """SummaryAccumulator.add against the fold of every vector, row by row, as repr."""
+    """SummarySink.add against the fold of every vector, row by row, as repr."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(stream=slot_streams())
@@ -477,7 +489,7 @@ def test_a_run_that_raises_closes_its_files(tmp_path, monkeypatch):
 
 def test_a_replay_that_raises_closes_its_files(tmp_path, monkeypatch):
     result = engine.run(SimConfig(horizon_slots=5))
-    result.slots[3] = dataclasses.replace(result.slots[3], role=None)
+    result.slots[3] = dataclasses.replace(result.slots[3], association=None)
     opened = []
     real_open = engine._open_stream
 
@@ -486,6 +498,6 @@ def test_a_replay_that_raises_closes_its_files(tmp_path, monkeypatch):
         return opened[-1]
 
     monkeypatch.setattr(engine, "_open_stream", recording_open)
-    with pytest.raises(AttributeError):
+    with pytest.raises(TypeError):
         engine.write_outputs(result, tmp_path)
     assert len(opened) == 2 and all(handle.closed for handle in opened)
