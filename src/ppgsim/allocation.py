@@ -35,7 +35,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
 from .numeric import left_sum
@@ -46,14 +46,7 @@ FractionFn = Callable[[int], float]
 RingsFn = Callable[[int, int], Sequence[int]]
 
 
-@dataclass(frozen=True)
-class AllocationDecision:
-    """One source-to-consumer transfer order for the current slot.
-
-    gross_J leaves the source; fraction of it survives the route; shortfall
-    marks decisions whose source could not cover the full demand.
-    """
-
+class _DecisionFields(NamedTuple):
     source_id: int
     consumer_id: int
     gross_J: float
@@ -61,14 +54,40 @@ class AllocationDecision:
     hops: int
     shortfall: bool = False
 
-    def __post_init__(self) -> None:
+
+class AllocationDecision(_DecisionFields):
+    """One source-to-consumer transfer order for the current slot.
+
+    gross_J leaves the source; fraction of it survives the route; shortfall
+    marks decisions whose source could not cover the full demand. An
+    immutable, hashable record: a tuple of its six fields, checked once
+    when it is built.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        source_id: int,
+        consumer_id: int,
+        gross_J: float,
+        fraction: float,
+        hops: int,
+        shortfall: bool = False,
+    ) -> AllocationDecision:
         # written so that NaN and infinities fail the check
-        if not (0.0 < self.gross_J < math.inf):
-            raise ValueError(f"gross_J must be positive and finite, got {self.gross_J}")
-        if not (0.0 < self.fraction <= 1.0):
-            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.hops < 0:
+        if not (0.0 < gross_J < math.inf):
+            raise ValueError(f"gross_J must be positive and finite, got {gross_J}")
+        if not (0.0 < fraction <= 1.0):
+            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+        if hops < 0:
             raise ValueError("hop count cannot be negative")
+        return tuple.__new__(cls, (source_id, consumer_id, gross_J, fraction, hops, shortfall))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> AllocationDecision:
+        # the inherited _make, which _replace calls too, would skip the checks
+        return cls(*iterable)
 
     @property
     def delivered_J(self) -> float:

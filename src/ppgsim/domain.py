@@ -7,8 +7,11 @@ The per-slot rules work on plain floats: ``bs_consumption`` gives a
 station's consumption at a load, ``roles_of`` reads every station's
 trading role from its reported level, as the demands of the consumers and
 the surpluses of the sources, and ``battery_steps`` advances every
-battery by one slot, grid purchase included, each in one pass over the
-stations. The engine calls them directly; ``role_of`` and
+battery by one slot, grid purchase included, and reads the role of each
+new level by ``roles_of``'s rule in the same pass over the stations. The
+engine calls ``battery_steps`` once per slot and keeps its roles for the
+next slot, so it calls ``roles_of`` only for a level list no pass wrote:
+the first slot's, or one a caller put in place. ``role_of`` and
 ``battery_step`` are the same passes over one station, and
 ``classify_role``, ``eb_step_offgrid``, ``eb_step_ongrid`` and
 ``grid_purchase`` wrap the rules for callers holding an ``EnergyBuffer``.
@@ -141,25 +144,35 @@ def battery_steps(
     transferred_J: Sequence[float],
     grid_connected: Sequence[bool],
     capacity_J: float,
-    up_threshold_J: float,
-) -> tuple[list[float], list[float], list[int], list[int]]:
+    low_J: float,
+    up_J: float,
+) -> tuple[
+    list[float], list[float], list[int], list[int], list[float], dict[int, float], dict[int, float]
+]:
     """Advance every station's battery one slot, in one pass over the stations.
 
-    Returns (new levels, purchases, clamped ids, capped ids); the vectors
-    are indexed by station id. transferred_J is signed: positive when the
-    station received energy, negative when it sent some. An off-grid
-    battery is capped at capacity and clamped at zero (an empty battery
-    cannot go negative; the engine logs the shortfall). A grid-connected
-    battery is floored at zero first, then buys up to its upper threshold on
-    that provisional level, capped at capacity. A station is clamped or
-    capped when its raw sum, purchase included, fell below zero or rose
-    above capacity. Vectors of different lengths raise ValueError.
+    Returns (new levels, purchases, clamped ids, capped ids, demand vector,
+    demands, surpluses); the vectors are indexed by station id. The last
+    three are roles_of's result at the new levels, read by its rule in the
+    same pass but without its range check: a level is checked when it
+    starts the next pass, and a NaN one reads as neutral. transferred_J is
+    signed: positive when the station received energy, negative when it
+    sent some. An off-grid battery is capped at capacity and clamped at
+    zero (an empty battery cannot go negative; the engine logs the
+    shortfall). A grid-connected battery is floored at zero first, then
+    buys up to its upper threshold on that provisional level, capped at
+    capacity. A station is clamped or capped when its raw sum, purchase
+    included, fell below zero or rose above capacity. Vectors of different
+    lengths raise ValueError.
     """
     n = len(levels_J)
     levels = [0.0] * n
     purchases = [0.0] * n
     clamped: list[int] = []
     capped: list[int] = []
+    demand = [0.0] * n
+    demands: dict[int, float] = {}
+    surpluses: dict[int, float] = {}
     for i, (level, h, c, flow, on_grid) in enumerate(
         zip(levels_J, harvested_J, consumed_J, transferred_J, grid_connected, strict=True)
     ):
@@ -174,19 +187,24 @@ def battery_steps(
         if on_grid:
             floor = 0.0 if 0.0 > raw else raw
             held = capacity_J if capacity_J < floor else floor
-            gap = up_threshold_J - held
+            gap = up_J - held
             purchases[i] = purchase = 0.0 if 0.0 > gap else gap
             topped = floor + purchase
-            levels[i] = capacity_J if capacity_J < topped else topped
+            levels[i] = new = capacity_J if capacity_J < topped else topped
             raw += purchase
         else:
             capped_raw = capacity_J if capacity_J < raw else raw
-            levels[i] = 0.0 if 0.0 > capped_raw else capped_raw
+            levels[i] = new = 0.0 if 0.0 > capped_raw else capped_raw
+        # roles_of's rule, on the level just written
+        if new > up_J:
+            surpluses[i] = new - up_J
+        elif new < low_J and not on_grid:
+            demands[i] = demand[i] = low_J - new
         if raw < 0.0:
             clamped.append(i)
         if raw > capacity_J:
             capped.append(i)
-    return levels, purchases, clamped, capped
+    return levels, purchases, clamped, capped, demand, demands, surpluses
 
 
 def battery_step(
@@ -202,9 +220,10 @@ def battery_step(
 
     battery_steps on one-station lists; see it for the rules.
     """
-    levels, purchases, clamped, capped = battery_steps(
+    # the roles are dropped, so any lower threshold serves
+    levels, purchases, clamped, capped, _, _, _ = battery_steps(
         [level_J], [harvested_J], [consumed_J], [transferred_J], [grid_connected],
-        capacity_J, up_threshold_J,
+        capacity_J, 0.0, up_threshold_J,
     )
     return levels[0], purchases[0], bool(clamped), bool(capped)
 

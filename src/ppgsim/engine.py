@@ -4,7 +4,9 @@ Event order inside one slot is a frozen contract:
 
 1. read every battery level (the slot's reported state)
 2. advance vehicle groups and compute the association set
-3. classify station roles from the reported levels
+3. classify station roles from the reported levels (the previous slot's
+   battery update already read them, so only the first slot, or levels a
+   caller put in place, take a pass of their own)
 4. allocate transfers under the configured policy (only in a slot with
    consumers)
 5. execute transfers over the grid (TDM mini-slot scheduling; only in a
@@ -216,22 +218,35 @@ def config_items(config: SimConfig) -> list[tuple[str, str]]:
     return items
 
 
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in raw.split(",")) if raw else ()
+
+
+# field annotation -> (parser of its rendered value, what that value must be)
+_PARSERS: dict[str, tuple[Callable[[str], object], str]] = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "text"),
+    "tuple[int, ...]": (_ints, "comma-separated integers"),
+}
+
+
 def config_from_items(items: Mapping[str, str]) -> SimConfig:
-    """Rebuild a SimConfig from rendered key/value pairs; unknown keys are errors."""
+    """Rebuild a SimConfig from rendered key/value pairs.
+
+    An unknown key, or a value its field's type cannot parse, raises
+    ConfigError naming the key.
+    """
     kwargs: dict[str, object] = {}
     for key, raw in items.items():
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        tp = _CONFIG_FIELDS[key]
+        parse, expected = _PARSERS[_CONFIG_FIELDS[key]]
         raw = raw.strip()
-        if tp in ("int", int):
-            kwargs[key] = int(raw)
-        elif tp in ("float", float):
-            kwargs[key] = float(raw)
-        elif tp in ("str", str):
-            kwargs[key] = raw
-        else:  # tuple of ints
-            kwargs[key] = tuple(int(p) for p in raw.split(",")) if raw else ()
+        try:
+            kwargs[key] = parse(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key!r} must be {expected}, got {raw!r}") from None
     return SimConfig(**kwargs)
 
 
@@ -339,7 +354,12 @@ def make_fleet(config: SimConfig) -> mobility.Fleet:
 
 
 class Simulation:
-    """Mutable state of one run; strictly single-threaded and seed-deterministic."""
+    """Mutable state of one run; strictly single-threaded and seed-deterministic.
+
+    To set the levels between steps, assign a new list to levels; the step
+    never mutates a list it built, and reuses the roles its battery pass
+    read only while levels is still the list that pass wrote.
+    """
 
     def __init__(
         self,
@@ -394,6 +414,8 @@ class Simulation:
         ]
         self.policy_rng = random.Random(derive_seed(config.seed, _SEED_POLICY))
         self.fleet = make_fleet(config)
+        # (level list, its roles), as the last battery pass wrote them
+        self._roles: tuple[list[float] | None, list] = (None, [])
 
     def step(self, t: int) -> tuple[SlotMetrics, transfer.TransferOutcome]:
         cfg = self.config
@@ -413,7 +435,10 @@ class Simulation:
         else:
             serving = log[t]
 
-        demand, demands, surpluses = domain.roles_of(levels_start, on_grid, cap, low, up)
+        classified, roles = self._roles
+        if classified is not levels_start:
+            roles = domain.roles_of(levels_start, on_grid, cap, low, up)
+        demand, demands, surpluses = roles
 
         # a slot without consumers trades nothing and draws nothing from the
         # policy rng; the config already checked the policy and lam
@@ -431,8 +456,13 @@ class Simulation:
         else:
             decisions, outage_ids = [], []
 
-        # a slot without decisions reserves no link, so the links a busy slot
-        # reserved may stay until the next busy slot clears them
+        flows = [0.0] * n
+        delivered = [0.0] * n
+        shortfall_ids: list[int] = []
+        n_overruns = 0
+        # a slot without decisions moves no energy and reserves no link, so
+        # the links a busy slot reserved may stay until the next busy slot
+        # clears them
         if decisions:
             self.grid.clear_reservations()
             outcome = transfer.execute_transfers(
@@ -445,11 +475,14 @@ class Simulation:
                 cfg.phi_max_J,
                 cfg.delta_s,
             )
+            for i, flow in outcome.net_flow_J.items():
+                flows[i] = flow
+            for d in decisions:
+                delivered[d.consumer_id] += d.delivered_J
+            shortfall_ids = sorted({d.consumer_id for d in decisions if d.shortfall})
+            n_overruns = sum(1 for job in outcome.jobs if job.overrun)
         else:
             outcome = transfer.TransferOutcome(t)
-        flows = [0.0] * n
-        for i, flow in outcome.net_flow_J.items():
-            flows[i] = flow
 
         solar, wind = self.harvest.sample(t)
         harvest_J = ingest.harvest_select(solar, wind, cfg.offpeak_threshold_J)
@@ -459,13 +492,10 @@ class Simulation:
         cluster_load = [domain.bs_consumption(row[k], idle, peak) for row in self.profiles.clusters]
         consumption = [cluster_load[c] for c in self.cluster_of]
 
-        self.levels, purchases, clamped, capped = domain.battery_steps(
-            levels_start, harvested, consumption, flows, on_grid, cap, up
+        self.levels, purchases, clamped, capped, *next_roles = domain.battery_steps(
+            levels_start, harvested, consumption, flows, on_grid, cap, low, up
         )
-
-        delivered = [0.0] * n
-        for d in decisions:
-            delivered[d.consumer_id] += d.delivered_J
+        self._roles = self.levels, next_roles
 
         return SlotMetrics(
             slot=t,
@@ -481,10 +511,10 @@ class Simulation:
             consumption_J=consumption,
             association=serving,
             outage_ids=outage_ids,
-            shortfall_ids=sorted({d.consumer_id for d in decisions if d.shortfall}),
+            shortfall_ids=shortfall_ids,
             clamped_ids=clamped,
             capped_ids=capped,
-            n_overruns=sum(1 for job in outcome.jobs if job.overrun),
+            n_overruns=n_overruns,
         ), outcome
 
     def run(self, sink: SlotSink | None = None):

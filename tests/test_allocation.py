@@ -625,3 +625,60 @@ def test_decision_validates_inputs():
 def test_decision_rejects_non_finite_gross(gross):
     with pytest.raises(ValueError, match="gross_J must be positive"):
         AllocationDecision(0, 1, gross, 0.5, 1)
+
+
+@pytest.mark.parametrize(
+    "gross, fraction, hops, message",
+    [
+        (0.0, 0.5, 1, r"gross_J must be positive and finite, got 0\.0"),
+        (-0.0, 0.5, 1, r"gross_J must be positive and finite, got -0\.0"),
+        (10.0, 0.0, 1, r"fraction must be in \(0, 1\], got 0\.0"),
+        (10.0, math.nextafter(1.0, 2.0), 1, r"fraction must be in \(0, 1\], got 1\.0000000000000002"),
+        (10.0, math.nan, 1, r"fraction must be in \(0, 1\], got nan"),
+        (10.0, 0.5, -1, "hop count cannot be negative"),
+    ],
+)
+def test_decision_names_the_field_it_rejects(gross, fraction, hops, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AllocationDecision(0, 1, gross, fraction, hops)
+
+
+def test_decision_accepts_each_bound():
+    assert AllocationDecision(0, 0, 5e-324, 1.0, 0).delivered_J == 5e-324
+
+
+class TestDecisionRecord:
+    def test_repr_names_every_field(self):
+        decision = AllocationDecision(3, 7, 12.5, 0.875, 2, shortfall=True)
+        assert repr(decision) == (
+            "AllocationDecision(source_id=3, consumer_id=7, gross_J=12.5, fraction=0.875, "
+            "hops=2, shortfall=True)"
+        )
+        assert decision.delivered_J == 12.5 * 0.875
+
+    def test_keywords_and_default_shortfall(self):
+        decision = AllocationDecision(source_id=3, consumer_id=7, gross_J=12.5, fraction=0.875, hops=2)
+        assert decision == AllocationDecision(3, 7, 12.5, 0.875, 2, False)
+        assert decision.shortfall is False
+
+    def test_equal_decisions_hash_equal(self):
+        a, b = AllocationDecision(0, 1, 10.0, 0.9, 1), AllocationDecision(0, 1, 10.0, 0.9, 1)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b, AllocationDecision(0, 1, 10.0, 0.9, 1, True)}) == 2
+
+    def test_replace_and_make_are_checked(self):
+        decision = AllocationDecision(0, 1, 10.0, 0.9, 1)
+        assert decision._replace(hops=2) == AllocationDecision(0, 1, 10.0, 0.9, 2)
+        assert type(decision._replace(hops=2)) is AllocationDecision
+        with pytest.raises(ValueError, match="gross_J must be positive"):
+            decision._replace(gross_J=math.nan)
+        with pytest.raises(ValueError, match="hop count cannot be negative"):
+            AllocationDecision._make((0, 1, 10.0, 0.9, -1, False))
+
+    @pytest.mark.parametrize("name", ["source_id", "gross_J", "shortfall", "extra"])
+    def test_assigning_an_attribute_raises(self, name):
+        decision = AllocationDecision(0, 1, 10.0, 0.9, 1)
+        with pytest.raises(AttributeError):
+            setattr(decision, name, 2)
+        assert decision == AllocationDecision(0, 1, 10.0, 0.9, 1)

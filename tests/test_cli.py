@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, and emitted files."""
 
+from pathlib import Path
+
 import pytest
 
 from ppgsim.allocation import POLICIES
@@ -80,6 +82,24 @@ class TestConfigFile:
         path.write_text("seed 9\n")
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "key, raw", [("rows", "four"), ("lam", "x"), ("on_grid_ids", "1,a"), ("seed", "1e3")]
+    )
+    def test_malformed_value_exits_1_naming_its_key(self, tmp_path, capsys, key, raw):
+        lines = Path("configs/table1.cfg").read_text().splitlines()
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(
+            f"{key} = {raw}\n" if line.partition("=")[0].strip() == key else f"{line}\n"
+            for line in lines
+        ))
+        assert f"{key} = {raw}" in path.read_text().splitlines()
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"config key '{key}' must be" in err and repr(raw) in err
+        assert "runtime failure" not in err
+        assert not out.exists()
 
 
 class TestRunCommand:

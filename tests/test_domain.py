@@ -5,7 +5,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppgsim.domain import (
@@ -232,7 +232,7 @@ class TestRoleOf:
             role_of(bad, False, 147e3, 343e3)
 
 
-CAP, UP = 490e3, 343e3
+CAP, LOW, UP = 490e3, 147e3, 343e3
 
 
 def engine_battery_update(level, h, c, flow, grid_connected, cap, up):
@@ -320,8 +320,8 @@ class TestBatterySteps:
         levels, harvested, consumed, flows, on_grid = (
             [[station[k] for station in stations] for k in range(5)]
         )
-        got_levels, got_purchases, clamped, capped = battery_steps(
-            levels, harvested, consumed, flows, on_grid, CAP, UP
+        got_levels, got_purchases, clamped, capped, *_ = battery_steps(
+            levels, harvested, consumed, flows, on_grid, CAP, LOW, UP
         )
         expected = [engine_battery_update(*station, CAP, UP) for station in stations]
         assert [bits(v) for v in got_levels] == [bits(e[0]) for e in expected]
@@ -331,27 +331,24 @@ class TestBatterySteps:
 
     def test_signed_zero_kept(self):
         # an off-grid sum of negative zeros stays -0.0: max(-0.0, 0.0) returns its first argument
-        levels, _, clamped, _ = battery_steps([-0.0], [-0.0], [0.0], [-0.0], [False], CAP, UP)
+        levels, _, clamped, *_ = battery_steps([-0.0], [-0.0], [0.0], [-0.0], [False], CAP, LOW, UP)
         assert bits(levels[0]) == bits(-0.0)
         assert clamped == []
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, math.nextafter(CAP, math.inf)])
     def test_rejects_level_outside_range_naming_station(self, bad):
         with pytest.raises(ValueError, match="station 2: level"):
-            battery_steps([0.0, CAP, bad], [0.0] * 3, [0.0] * 3, [0.0] * 3, [False] * 3, CAP, UP)
+            battery_steps([0.0, CAP, bad], [0.0] * 3, [0.0] * 3, [0.0] * 3, [False] * 3, CAP, LOW, UP)
 
     def test_rejects_vectors_of_different_lengths(self):
         with pytest.raises(ValueError):
-            battery_steps([0.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0], [False, False], CAP, UP)
+            battery_steps([0.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0], [False, False], CAP, LOW, UP)
 
     def test_rejects_negative_inputs_naming_station(self):
         with pytest.raises(ValueError, match="station 1:"):
-            battery_steps([0.0, 0.0], [0.0, -1.0], [0.0, 0.0], [0.0, 0.0], [True, True], CAP, UP)
+            battery_steps([0.0, 0.0], [0.0, -1.0], [0.0, 0.0], [0.0, 0.0], [True, True], CAP, LOW, UP)
         with pytest.raises(ValueError, match="station 0:"):
-            battery_steps([0.0], [0.0], [-1.0], [0.0], [False], CAP, UP)
-
-
-LOW = 147e3
+            battery_steps([0.0], [0.0], [-1.0], [0.0], [False], CAP, LOW, UP)
 
 
 def engine_roles(levels, on_grid, cap, low, up):
@@ -435,6 +432,47 @@ class TestRolesOf:
     def test_rejects_vectors_of_different_lengths(self):
         with pytest.raises(ValueError):
             roles_of([0.0, 0.0], [False], CAP, LOW, UP)
+
+
+# energies that land a new level exactly on 0, a threshold or the capacity,
+# or one ulp beside it, from a start level drawn the same way
+LANDING = st.sampled_from([
+    0.0, -0.0, LOW, UP, CAP, CAP - LOW, CAP - UP, UP - LOW,
+    math.nextafter(LOW, 0.0), math.nextafter(UP, CAP), math.nextafter(0.0, 1.0),
+]) | st.floats(0.0, CAP)
+
+
+class TestFusedRoles:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(ROLE_LEVELS, LANDING, LANDING, LANDING | LANDING.map(lambda x: -x), st.booleans()),
+            max_size=40,
+        ),
+        # roles_of asks no order of the thresholds, so neither may the pass
+        st.sampled_from([(LOW, UP), (UP, LOW), (LOW, LOW)]),
+    )
+    @example([], (LOW, UP))
+    def test_roles_are_roles_of_the_new_levels(self, stations, thresholds):
+        levels, harvested, consumed, flows, on_grid = (
+            [[station[k] for station in stations] for k in range(5)]
+        )
+        new_levels, _, _, _, *roles = battery_steps(
+            levels, harvested, consumed, flows, on_grid, CAP, *thresholds
+        )
+        assert float_bits(roles) == float_bits(roles_of(new_levels, on_grid, CAP, *thresholds))
+
+    def test_each_landing_level_is_classified(self):
+        # off-grid new levels exactly at -0.0, low, up and cap, then one on-grid
+        # station topped up to exactly up; -0.0 sums stay -0.0
+        levels = [-0.0, 0.0, 0.0, 0.0, 0.0]
+        harvested = [-0.0, LOW, UP, CAP, 0.0]
+        new_levels, _, _, _, demand, demands, surpluses = battery_steps(
+            levels, harvested, [0.0] * 5, [-0.0] * 5, [False] * 4 + [True], CAP, LOW, UP
+        )
+        assert [bits(v) for v in new_levels] == [bits(v) for v in (-0.0, LOW, UP, CAP, UP)]
+        assert demands == {0: LOW} and demand == [LOW, 0.0, 0.0, 0.0, 0.0]
+        assert surpluses == {3: CAP - UP}
 
 
 # roles_of and battery_steps as they were with int literals in their guards
@@ -536,6 +574,10 @@ class TestFloatGuards:
     )
     def test_battery_steps_matches_int_guards(self, stations, cap):
         vectors = [[station[k] for station in stations] for k in range(5)]
-        assert kernel_outcome(battery_steps, *vectors, cap, UP) == kernel_outcome(
+        # the oracle predates the roles battery_steps also returns; TestFusedRoles checks those
+        def stepped(*args):
+            return battery_steps(*args)[:4]
+
+        assert kernel_outcome(stepped, *vectors, cap, LOW, UP) == kernel_outcome(
             int_guard_battery_steps, *vectors, cap, UP
         )

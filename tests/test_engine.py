@@ -3,13 +3,14 @@
 import collections
 import dataclasses
 import math
+import re
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppgsim import allocation, cli, engine, ingest, mobility, transfer
+from ppgsim import allocation, cli, domain, engine, ingest, mobility, transfer
 from ppgsim.engine import (
     SimConfig,
     Simulation,
@@ -189,6 +190,22 @@ class TestConfigRoundTrip:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_items({"not_a_field": "1"})
+
+    @pytest.mark.parametrize(
+        "key, raw, expected",
+        [
+            ("rows", "four", "an integer"),
+            ("seed", "1e3", "an integer"),
+            ("horizon_slots", "", "an integer"),
+            ("lam", "x", "a number"),
+            ("on_grid_ids", "1,a", "comma-separated integers"),
+            ("on_grid_ids", "1,,2", "comma-separated integers"),
+        ],
+    )
+    def test_malformed_value_names_its_key(self, key, raw, expected):
+        message = f"^config key '{key}' must be {expected}, got '{re.escape(raw)}'$"
+        with pytest.raises(ConfigError, match=message):
+            config_from_items({"rows": "4", key: f" {raw} "})
 
 
 class TestStepSemantics:
@@ -560,6 +577,46 @@ class TestStepContract:
         # write_outputs returns {name: path}, emit_plot_data a list of paths
         paths = [p for r in returned for p in (r.values() if isinstance(r, dict) else r)]
         assert sorted(paths) == sorted(out.iterdir())
+
+
+class TestOneRolePass:
+    """The battery pass reads the roles of the levels it writes, so a run
+    classifies with roles_of once, for its first slot, and again only
+    for a level list a caller put in place."""
+
+    def test_plain_run_calls_roles_of_once(self, monkeypatch, reference_config):
+        calls = {}
+        TestStepContract.count_calls(monkeypatch, domain, "roles_of", calls)
+        TestStepContract.count_calls(monkeypatch, domain, "bs_consumption", calls)
+        cfg = dataclasses.replace(reference_config, horizon_slots=200, initial_fill_fraction=0.32)
+        sim = Simulation(cfg)
+        result = sim.run()
+        assert sum(m.n_consumers for m in result.slots) > 0
+        assert calls == {"roles_of": 1, "bs_consumption": len(sim.profiles.clusters) * 200}
+
+    def test_replaced_levels_are_classified_again(self, monkeypatch):
+        cfg = SimConfig(horizon_slots=3, idle_energy_J=0.0, on_grid_ids=(5,))
+        sim = Simulation(cfg, *quiet_traces(cfg))
+        roles_of = domain.roles_of
+        calls = {}
+        TestStepContract.count_calls(monkeypatch, domain, "roles_of", calls)
+        quiet, _ = sim.step(0)
+        assert quiet.n_consumers == quiet.n_sources == 0
+        # a station above the upper threshold beside consumers below the lower one
+        replaced = [100e3] * cfg.n_bs
+        replaced[1] = 400e3
+        sim.levels = replaced
+        busy, _ = sim.step(1)
+        demand, demands, surpluses = roles_of(replaced, sim.on_grid, 490e3, 147e3, 343e3)
+        assert busy.level_J is replaced
+        assert busy.demand_J == demand
+        assert (busy.n_consumers, busy.n_sources) == (len(demands), len(surpluses)) == (cfg.n_bs - 2, 1)
+        assert sum(busy.delivered_J) > 0.0
+        # the next slot reads the battery pass's roles of the levels it wrote
+        after, _ = sim.step(2)
+        assert after.level_J is busy.level_end_J
+        assert after.demand_J == roles_of(after.level_J, sim.on_grid, 490e3, 147e3, 343e3)[0]
+        assert calls == {"roles_of": 2}
 
 
 class TestQuietSlots:
