@@ -163,11 +163,34 @@ def ring_ids(station: int, d: int, shape: Shape) -> tuple[int, ...]:
     return tuple(ids)
 
 
+def live_rings(consumer: int, available: Mapping[int, float], cols: int, nearest: int) -> dict[int, list[int]]:
+    """The sources in available nearest or more hops from consumer, keyed by hop count.
+
+    Station ids are row-major with cols columns; one pass over available.
+    """
+    r0, c0 = divmod(consumer, cols)
+    rings: dict[int, list[int]] = {}
+    for s in available:
+        r, c = divmod(s, cols)
+        d = abs(r - r0) + abs(c - c0)
+        if d >= nearest:
+            rings.setdefault(d, []).append(s)
+    return rings
+
+
+# a far walk reads the live sources once it reaches a ring d >= this whose
+# 4d lattice stations are at least as many as the live sources; switching
+# from ring 1 on fired on a sixth of the 4x6 reference's picks, where few
+# sources are left, and saved nothing there
+LIVE_RINGS_FROM = 3
+
+
 def lyapunov_ring_picks(
     rings: RingsFn,
     hop_values: Sequence[int],
     fractions: Sequence[float] | Mapping[int, float],
     lam: float,
+    cols: int = 0,
 ) -> PickFn:
     """The drift-plus-penalty pick, walking each consumer's candidates nearest first.
 
@@ -200,6 +223,15 @@ def lyapunov_ring_picks(
     when first needed and keeps it between calls, until a pick draws on a
     source holding that much; so available may change between calls only
     by debits of the picked sources, as allocate_slot does.
+
+    With cols, the column count of the row-major lattice that rings walks,
+    a far walk reads its candidates from the live sources instead: on
+    reaching a ring d >= LIVE_RINGS_FROM with 4d >= len(available), the
+    pick buckets available by hop count once (live_rings) and takes that
+    ring's and every later ring's candidates from their bucket. A lattice
+    ring holds at most 4d stations, so from there a pass over the live
+    sources costs no more than the rings would. The walk is the same: the
+    same rings in the same order, an empty bucket counting as a walked ring.
     """
     if lam < 0:
         raise ValueError("control weight must be >= 0")
@@ -210,6 +242,7 @@ def lyapunov_ring_picks(
         ge: list[int] = []
         lt: list[int] = []
         hops = lt_hops = 0
+        live: dict[int, list[int]] | None = None
         for hops in hop_values:
             fraction = fractions[hops]
             if lt:
@@ -217,7 +250,9 @@ def lyapunov_ring_picks(
                     top = max(available.values())
                 if top * fraction < demand_J:
                     break
-            for s in rings(consumer, hops):
+            if live is None and cols and hops >= LIVE_RINGS_FROM and 4 * hops >= len(available):
+                live = live_rings(consumer, available, cols, hops)
+            for s in rings(consumer, hops) if live is None else live.get(hops, ()):
                 if s not in available:
                     continue
                 amount = available[s] * fraction
@@ -305,6 +340,7 @@ def lyapunov_picks(shape: Shape, fraction_of: FractionFn, lam: float, rng: rando
         range(1, rows + cols - 1),
         [fraction_of(d) for d in range(rows + cols - 1)],
         lam,
+        cols,
     )
 
 

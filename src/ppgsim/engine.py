@@ -48,6 +48,10 @@ _SEED_JITTER = 2
 _SEED_MOBILITY = 3
 _SEED_POLICY = 4
 _SEED_TRACES = 5
+# a job holds ceil(delivered / phi_max_J) mini-slots, at most
+# ceil(beta_max_J / phi_max_J), and each link's calendar is an int with a
+# bit per mini-slot
+MAX_JOB_MINI_SLOTS = 2**20
 
 
 def derive_seed(master_seed: int, component: int) -> int:
@@ -171,6 +175,13 @@ class SimConfig:
             raise ConfigError(
                 f"per-hop loss must lie in (0, 1), got {hop_loss}; it comes from phi_max_J, "
                 "mini_slot_s, resistivity, link_length_m, cross_section_mm2 and dc_voltage_V"
+            )
+        # ceil(x) > n exactly when x > n, for an integer n; an infinite ratio fails too
+        if self.beta_max_J / self.phi_max_J > MAX_JOB_MINI_SLOTS:
+            raise ConfigError(
+                f"phi_max_J must be at least beta_max_J / {MAX_JOB_MINI_SLOTS}, so that a job needs at "
+                f"most {MAX_JOB_MINI_SLOTS} mini-slots, got phi_max_J = {self.phi_max_J} and "
+                f"beta_max_J = {self.beta_max_J}"
             )
 
     @property

@@ -14,8 +14,10 @@ grid's dirty list, and PpgGrid.clear_reservations clears only the links
 on that list, whoever reserved them.
 
 Routes. static_route is memoised per grid: the first call for a (source,
-consumer) pair builds and validates the Route and resolves its PowerLink
-objects; later calls return the same Route.
+consumer) pair builds and validates the Route; later calls return the
+same Route. The grid keeps each column's nodes and vertical links in row
+order, and each row's in column order, so a route is two slices of those
+lines (reversed when it walks up or left), with no link looked up by key.
 """
 
 from __future__ import annotations
@@ -135,14 +137,22 @@ class PpgGrid:
         # links reserved since the last clear_reservations
         self._dirty: list[PowerLink] = []
         self._routes: dict[tuple[Node, Node], Route] = {}
+        # each column's nodes and vertical links in row order, each row's
+        # nodes and horizontal links in column order: _walk slices routes from them
+        self._column_nodes = [[(r, c) for r in range(rows)] for c in range(cols)]
+        self._row_nodes = [[(r, c) for c in range(cols)] for r in range(rows)]
+        self._column_links: list[list[PowerLink]] = [[] for _ in range(cols)]
+        self._row_links: list[list[PowerLink]] = [[] for _ in range(rows)]
         for r in range(rows):
             for c in range(cols):
                 if r + 1 < rows:
                     key = link_key((r, c), (r + 1, c))
-                    self.links[key] = PowerLink(key, dirty=self._dirty)
+                    self.links[key] = link = PowerLink(key, dirty=self._dirty)
+                    self._column_links[c].append(link)
                 if c + 1 < cols:
                     key = link_key((r, c), (r, c + 1))
-                    self.links[key] = PowerLink(key, dirty=self._dirty)
+                    self.links[key] = link = PowerLink(key, dirty=self._dirty)
+                    self._row_links[r].append(link)
 
     @property
     def line_resistance_ohm(self) -> float:
@@ -177,18 +187,22 @@ class PpgGrid:
         self._check(b)
         if a == b:
             raise ValueError(f"no route from {a} to itself")
-        hops = [a]
-        r, c = a
-        step_r = 1 if b[0] > r else -1
-        while r != b[0]:
-            r += step_r
-            hops.append((r, c))
-        step_c = 1 if b[1] > c else -1
-        while c != b[1]:
-            c += step_c
-            hops.append((r, c))
-        links = tuple(self.links[link_key(x, y)] for x, y in zip(hops, hops[1:]))
-        return Route(tuple(hops), links)
+        (r0, c0), (r1, c1) = a, b
+        # down or up column c0 to row r1, then along row r1 to column c1;
+        # link i of a line joins its nodes i and i + 1
+        nodes, links = self._column_nodes[c0], self._column_links[c0]
+        if r0 <= r1:
+            hops, route_links = nodes[r0:r1 + 1], links[r0:r1]
+        else:
+            hops, route_links = nodes[r1:r0 + 1][::-1], links[r1:r0][::-1]
+        nodes, links = self._row_nodes[r1], self._row_links[r1]
+        if c0 <= c1:
+            hops += nodes[c0 + 1:c1 + 1]
+            route_links += links[c0:c1]
+        else:
+            hops += nodes[c1:c0][::-1]
+            route_links += links[c1:c0][::-1]
+        return Route(tuple(hops), tuple(route_links))
 
     def clear_reservations(self) -> None:
         """Empty every link reserved since the last clear; the rest already are."""

@@ -449,6 +449,84 @@ class TestRingSearch:
         assert [d.source_id for d in decisions] == [49]
 
 
+# up to 20x30: a large amount still covers a demand 48 hops away
+FAR_AMOUNTS = AMOUNTS | st.floats(1.0, 300e3)
+
+
+@st.composite
+def sparse_slots(draw):
+    """Slots on lattices up to 20x30 with a few live sources, so far walks read them."""
+    rows = draw(st.integers(1, 20))
+    cols = draw(st.integers(2 if rows == 1 else 1, 30))
+    stations = draw(st.lists(st.integers(0, rows * cols - 1), unique=True, min_size=2, max_size=12))
+    k = draw(st.integers(1, len(stations) - 1))
+    consumers, sources = stations[:k], stations[k:]
+    demands = {c: draw(FAR_AMOUNTS.filter(lambda a: a > 0.0)) for c in consumers}
+    surpluses = {s: draw(FAR_AMOUNTS) for s in sources}
+    priority = frozenset(draw(st.sets(st.sampled_from(consumers))))
+    lam = draw(st.sampled_from([0.0, 1.0, 1e3]))
+    return (demands, priority, surpluses, (rows, cols), lam)
+
+
+def lattice_rings(slot):
+    """The rings allocate_slot's lyapunov picks read from the lattice (ring_ids), and its result."""
+    read = []
+
+    def recording(station, d, shape):
+        read.append(d)
+        return ring_ids(station, d, shape)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allocation, "ring_ids", recording)
+        new, old = run_both("lyapunov", slot)
+    assert new == old
+    return read, new
+
+
+class TestFarWalk:
+    """From ring 3 on, a walk whose ring could hold more ids than there are live sources reads those."""
+
+    def test_live_rings_bucket_by_lattice_distance(self):
+        # consumer 31 sits at (1, 1) on a 20x30 lattice: 32 is one hop away,
+        # 0 and 2 two hops, 63 and 121 three, and 599 in the far corner 46
+        available = dict.fromkeys([0, 2, 32, 63, 121, 599], 1.0)
+        assert allocation.live_rings(31, available, 30, 2) == {2: [0, 2], 3: [63, 121], 46: [599]}
+        assert allocation.live_rings(31, available, 30, 3) == {3: [63, 121], 46: [599]}
+
+    def test_far_corner_source(self):
+        slot = ({0: 20e3}, frozenset(), {599: 500e3}, (20, 30), 1.0)
+        walked, _ = walks_and_decisions(slot)
+        # every ring is walked, though rings 3 to 47 come from empty buckets
+        assert walked == [(0, d) for d in range(1, 49)]
+        read, (decisions, outages) = lattice_rings(slot)
+        assert read == [1, 2]
+        assert [(d.source_id, d.hops, d.shortfall) for d in decisions] == [(599, 48, False)]
+        assert outages == []
+
+    @pytest.mark.parametrize("n, first_live", [(1, 3), (12, 3), (13, 4), (30, 8)])
+    def test_switch_ring(self, n, first_live):
+        # n sources on the last row, 19 to 48 hops from consumer 0; the
+        # nearest, 570, covers the demand
+        slot = ({0: 20e3}, frozenset(), {570 + i: 500e3 for i in range(n)}, (20, 30), 1.0)
+        walked, _ = walks_and_decisions(slot)
+        assert walked == [(0, d) for d in range(1, 20)]
+        read, (decisions, _) = lattice_rings(slot)
+        assert read == list(range(1, first_live))
+        assert [d.source_id for d in decisions] == [570]
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_slots())
+    def test_lyapunov_matches_sorted_scan(self, slot):
+        new, old = run_both("lyapunov", slot)
+        assert new == old
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_slots())
+    def test_walks_stop_where_a_fresh_maximum_stops_them(self, slot):
+        walked, _ = walks_and_decisions(slot)
+        assert walked == oracle_walks(slot)
+
+
 def walk(consumer, demand_J, surpluses, shape):
     """Rings the lyapunov pick walked for a lone consumer, and the slot's decisions."""
     slot = ({consumer: demand_J}, frozenset(), surpluses, shape, 1.0)
@@ -456,21 +534,39 @@ def walk(consumer, demand_J, surpluses, shape):
     return [d for _, d in walked], decisions
 
 
+class ReadRings(dict):
+    """live_rings' buckets, recording each ring the pick reads from them."""
+
+    def __init__(self, consumer, rings, walked):
+        super().__init__(rings)
+        self.consumer, self.walked = consumer, walked
+
+    def get(self, d, default=None):
+        self.walked.append((self.consumer, d))
+        return super().get(d, default)
+
+
 def walks_and_decisions(slot, slot_max=max):
     """The (consumer, ring) pairs allocate_slot's lyapunov picks walked, in order, and its decisions.
 
-    slot_max stands in for the builtin max that the pick takes the slot's
-    largest surplus with.
+    A walked ring is read either from the lattice (ring_ids) or, on a far
+    walk, from the live sources' buckets (live_rings). slot_max stands in
+    for the builtin max that the pick takes the slot's largest surplus with.
     """
     demands, priority, surpluses, shape, lam = slot
     walked = []
+    live_rings = allocation.live_rings
 
     def recording(station, d, shape):
         walked.append((station, d))
         return ring_ids(station, d, shape)
 
+    def recording_live(consumer, available, cols, nearest):
+        return ReadRings(consumer, live_rings(consumer, available, cols, nearest), walked)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(allocation, "ring_ids", recording)
+        patch.setattr(allocation, "live_rings", recording_live)
         patch.setattr(allocation, "max", slot_max, raising=False)
         decisions, _ = allocate_slot(
             "lyapunov", demands, priority, surpluses, shape, FRACTION, lam, random.Random(0)

@@ -324,6 +324,15 @@ class TestTraceCommands:
         assert rc == EXIT_VALIDATION
         assert message in capsys.readouterr().err
 
+    def test_run_rejects_a_tiny_link_quantum_and_writes_nothing(self, tmp_path, capsys):
+        lines = write_config(tmp_path, horizon_slots=5).read_text().splitlines()
+        path = tmp_path / "tiny.cfg"
+        path.write_text("\n".join("phi_max_J = 1e-6" if line.startswith("phi_max_J =") else line for line in lines))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        assert "error: phi_max_J must be at least beta_max_J" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_needs_an_argument(self):
         assert main(["validate-traces"]) == EXIT_VALIDATION
 

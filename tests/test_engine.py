@@ -156,6 +156,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^per-hop loss must lie in \\(0, 1\\), got .*; it comes from {keys}$"):
             SimConfig(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"phi_max_J": 1e-6}, {"phi_max_J": 0.46}, {"beta_max_J": 1e300},
+            {"phi_max_J": 1e-6, "beta_max_J": 1e308},
+        ],
+        ids=["phi-1e-6", "phi-0.46", "beta-1e300", "infinite-ratio"],
+    )
+    def test_job_of_too_many_mini_slots_names_phi_and_beta(self, overrides):
+        # a link calendar for such a job would be an int of up to 4.9e11 bits
+        with pytest.raises(ConfigError, match="^phi_max_J must be at least beta_max_J / 1048576, .*beta_max_J = "):
+            SimConfig(**overrides)
+
+    def test_most_mini_slots_per_job_accepted(self):
+        # 490 kJ at 0.5 J per mini-slot: 980,000 mini-slots, under 2**20
+        cfg = SimConfig(phi_max_J=0.5)
+        assert math.ceil(cfg.beta_max_J / cfg.phi_max_J) == 980_000
+        assert SimConfig(phi_max_J=cfg.beta_max_J / 2**20).phi_max_J == cfg.beta_max_J / 2**20
+
     def test_one_station_grid_names_rows_and_cols(self):
         with pytest.raises(ConfigError, match="^rows and cols must give at least 2 stations, got 1x1$"):
             SimConfig(rows=1, cols=1, on_grid_ids=())

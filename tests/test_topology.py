@@ -260,6 +260,18 @@ class TestCalendar:
             assert all(x is grid.links[key] for x, key in zip(route.power_links, route.links()))
             assert grid.static_route(a, b) is route
 
+    @pytest.mark.parametrize("rows, cols", [(4, 6), (5, 1), (1, 5), (3, 3)])
+    def test_every_route_matches_walk(self, rows, cols):
+        grid = PpgGrid(rows=rows, cols=cols)
+        nodes = grid.nodes()
+        for a in nodes:
+            for b in nodes:
+                if a != b:
+                    route = grid.static_route(a, b)
+                    assert route.hops == walk_route(a, b)
+                    assert len(route.power_links) == route.hop_count
+                    assert all(x is grid.links[key] for x, key in zip(route.power_links, route.links()))
+
     def test_cache_does_not_hide_bad_nodes(self, grid):
         grid.static_route((0, 0), (1, 1))
         with pytest.raises(ValueError):
