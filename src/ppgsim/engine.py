@@ -10,11 +10,13 @@ Event order inside one slot is a frozen contract:
 4. allocate transfers under the configured policy (only in a slot with
    consumers)
 5. execute transfers over the grid (TDM mini-slot scheduling; only in a
-   slot with decisions, which first clears the links reserved before)
+   slot with decisions, which first clears the links reserved before);
+   the same pass builds the slot's flow and delivered vectors, its
+   shortfall ids and its overrun count
 6. sample the slot's load and harvest
 7. update batteries; grid-connected stations purchase up to their
    upper threshold on the provisional end-of-slot level
-8. hand the slot's metrics and jobs to the run's sink
+8. return the slot's (metrics, jobs), which run hands to the run's sink
 
 Consequences worth noting: energy delivered in a slot is usable against
 that slot's consumption (battery updates sum all flows at once), and a
@@ -266,6 +268,8 @@ class SlotMetrics:
     """One row per slot; per-station vectors are indexed by station id.
 
     The vectors are the step's own lists, not copies; nothing mutates them.
+    flow_J, delivered_J, shortfall_ids and n_overruns are the transfer
+    pass's (transfer.SlotTransfers), or zeros in a slot without decisions.
     """
 
     slot: int
@@ -428,7 +432,7 @@ class Simulation:
         # (level list, its roles), as the last battery pass wrote them
         self._roles: tuple[list[float] | None, list] = (None, [])
 
-    def step(self, t: int) -> tuple[SlotMetrics, transfer.TransferOutcome]:
+    def step(self, t: int) -> tuple[SlotMetrics, list[TransferJob]]:
         cfg = self.config
         n = cfg.n_bs
         cap, low, up = cfg.beta_max_J, cfg.beta_low_J, cfg.beta_up_J
@@ -467,33 +471,16 @@ class Simulation:
         else:
             decisions, outage_ids = [], []
 
-        flows = [0.0] * n
-        delivered = [0.0] * n
-        shortfall_ids: list[int] = []
-        n_overruns = 0
         # a slot without decisions moves no energy and reserves no link, so
         # the links a busy slot reserved may stay until the next busy slot
         # clears them
         if decisions:
             self.grid.clear_reservations()
-            outcome = transfer.execute_transfers(
-                decisions,
-                self.grid,
-                self.positions,
-                t,
-                cfg.mini_slot_s,
-                cfg.xi_s,
-                cfg.phi_max_J,
-                cfg.delta_s,
+            jobs, flows, delivered, shortfall_ids, n_overruns = transfer.execute_transfers(
+                decisions, self.grid, self.positions, n, cfg.mini_slot_s, cfg.xi_s, cfg.phi_max_J, cfg.delta_s
             )
-            for i, flow in outcome.net_flow_J.items():
-                flows[i] = flow
-            for d in decisions:
-                delivered[d.consumer_id] += d.delivered_J
-            shortfall_ids = sorted({d.consumer_id for d in decisions if d.shortfall})
-            n_overruns = sum(1 for job in outcome.jobs if job.overrun)
         else:
-            outcome = transfer.TransferOutcome(t)
+            jobs, flows, delivered, shortfall_ids, n_overruns = [], [0.0] * n, [0.0] * n, [], 0
 
         solar, wind = self.harvest.sample(t)
         harvest_J = ingest.harvest_select(solar, wind, cfg.offpeak_threshold_J)
@@ -526,7 +513,7 @@ class Simulation:
             clamped_ids=clamped,
             capped_ids=capped,
             n_overruns=n_overruns,
-        ), outcome
+        ), jobs
 
     def run(self, sink: SlotSink | None = None):
         """Step every slot into the sink and return what its close() returns.
@@ -537,8 +524,7 @@ class Simulation:
         """
         if sink is None:
             sink = ResultSink(self.config)
-        steps = map(self.step, range(self.config.horizon_slots))
-        return _feed(sink, ((metrics, outcome.jobs) for metrics, outcome in steps))
+        return _feed(sink, map(self.step, range(self.config.horizon_slots)))
 
 
 SinkFactory = Callable[[SimConfig], "SlotSink"]

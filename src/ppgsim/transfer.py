@@ -7,6 +7,9 @@ the response deadline still completes but is flagged as an overrun.
 
 Losses are debited at the source: the source sends the gross amount, the
 consumer receives the surviving fraction, the difference is dissipated.
+The same pass over the decisions builds the slot's per-station vectors
+(net flow and delivered energy), its shortfall ids and its overrun count,
+so the engine walks the decisions once.
 
 Link calendar. A link's calendar is the bitmask of its busy mini-slots
 (see topology). A job of y mini-slots starts at the first run of y zero
@@ -23,8 +26,8 @@ overlapping [start, start + y) and ending after f would also overlap
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Sequence
 
 from .allocation import AllocationDecision
 from .errors import ConfigError
@@ -86,20 +89,6 @@ def job_grants(slot: int, job: TransferJob) -> list[LinkGrant]:
     return [LinkGrant(slot, key, start, end, job.job_id) for key in job.route.links()]
 
 
-@dataclass
-class TransferOutcome:
-    """Per-slot result of executing all transfers; slot stamps the grants."""
-
-    slot: int = 0
-    net_flow_J: dict[int, float] = field(default_factory=dict)
-    jobs: list[TransferJob] = field(default_factory=list)
-
-    @property
-    def grants(self) -> list[LinkGrant]:
-        """Link grants of the slot, in job order and then route order."""
-        return [grant for job in self.jobs for grant in job_grants(self.slot, job)]
-
-
 def _earliest_start(route: Route, length: int) -> int:
     """First mini-slot index at which every link of the route is free for `length` slots.
 
@@ -116,24 +105,43 @@ def _earliest_start(route: Route, length: int) -> int:
     return start
 
 
+class SlotTransfers(NamedTuple):
+    """One slot's executed transfers and the per-station results they give.
+
+    flow_J (net energy in, losses debited at the source) and delivered_J
+    are indexed by station id; each entry starts at 0.0 and adds in
+    decision order. shortfall_ids lists, sorted and once each, the
+    consumers of shortfall decisions; n_overruns counts the overrun jobs.
+    """
+
+    jobs: list[TransferJob]
+    flow_J: list[float]
+    delivered_J: list[float]
+    shortfall_ids: list[int]
+    n_overruns: int
+
+
 def execute_transfers(
     decisions: Sequence[AllocationDecision],
     grid: PpgGrid,
     positions: Mapping[int, Node],
-    slot_index: int,
+    n_stations: int,
     mini_slot_duration_s: float,
     processing_delay_s: float,
     phi_max_J: float,
     deadline_s: float,
-) -> TransferOutcome:
+) -> SlotTransfers:
     """Schedule and execute one slot's transfers under per-link TDM.
 
     Links must be free at entry (the engine clears them before each slot
     that has transfers). Every job completes within the model - energy always
     arrives - but a completion time past deadline_s marks the job overrun.
     """
-    outcome = TransferOutcome(slot_index)
-    jobs, flows = outcome.jobs, outcome.net_flow_J
+    jobs: list[TransferJob] = []
+    flows = [0.0] * n_stations
+    received = [0.0] * n_stations
+    shortfall: set[int] = set()
+    n_overruns = 0
     for job_id, decision in enumerate(decisions):
         source, consumer, gross = decision.source_id, decision.consumer_id, decision.gross_J
         delivered = decision.delivered_J
@@ -146,18 +154,14 @@ def execute_transfers(
         else:
             start = 0
         completion = (start + y) * mini_slot_duration_s + processing_delay_s
-        jobs.append(
-            TransferJob(
-                job_id,
-                decision,
-                route,
-                y,
-                start,
-                link_occupancy(y, mini_slot_duration_s, processing_delay_s),
-                completion,
-                "overrun" if completion > deadline_s else "done",
-            )
-        )
-        flows[consumer] = flows.get(consumer, 0.0) + delivered
-        flows[source] = flows.get(source, 0.0) - gross
-    return outcome
+        occupancy = link_occupancy(y, mini_slot_duration_s, processing_delay_s)
+        overrun = completion > deadline_s
+        n_overruns += overrun
+        status = "overrun" if overrun else "done"
+        jobs.append(TransferJob(job_id, decision, route, y, start, occupancy, completion, status))
+        flows[consumer] += delivered
+        flows[source] -= gross
+        received[consumer] += delivered
+        if decision.shortfall:
+            shortfall.add(consumer)
+    return SlotTransfers(jobs, flows, received, sorted(shortfall), n_overruns)

@@ -123,3 +123,12 @@ def test_traced_compare_keeps_every_span_that_ran(tmp_path):
     layers = result["layers"]
     assert [name for name in COUNTED if not layers.get(name, 0) > 0] == []
     assert sorted(name for name, value in layers.items() if value == 0) == sorted(BLIND + UNEXERCISED)
+    # the transfer hook counts what the run wrote: one row per job
+    paths = sorted((tmp_path / "out").glob("*_transfers.csv"))
+    assert len(paths) == 3
+    mini_slots = []
+    for path in paths:
+        header, *lines = path.read_text().splitlines()
+        column = header.split(",").index("mini_slots")
+        mini_slots.extend(int(line.split(",")[column]) for line in lines)
+    assert (layers["transfer.jobs"], layers["transfer.mini_slots"]) == (len(mini_slots), sum(mini_slots))

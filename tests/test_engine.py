@@ -28,6 +28,7 @@ from ppgsim.errors import ConfigError
 from ppgsim.ingest import HarvestTraceSet, LoadProfileSet
 from ppgsim.topology import PpgGrid
 from test_streaming import TRADING, small_configs
+from test_transfer import contended_config
 
 
 Station = collections.namedtuple("Station", "id node grid_connected level_J")
@@ -655,10 +656,10 @@ class TestQuietSlots:
         sim = Simulation(reference_config)
         calls = self.counted(monkeypatch)
         for t in range(3):
-            metrics, outcome = sim.step(t)
+            metrics, jobs = sim.step(t)
             assert not any(metrics.demand_J)
-            assert type(outcome) is transfer.TransferOutcome
-            assert (outcome.slot, outcome.jobs, outcome.net_flow_J) == (t, [], {})
+            assert jobs == []
+            assert metrics.flow_J == metrics.delivered_J == [0.0] * reference_config.n_bs
             assert (metrics.outage_ids, metrics.shortfall_ids, metrics.n_overruns) == ([], [], 0)
         assert calls == {}
 
@@ -667,9 +668,10 @@ class TestQuietSlots:
         sim = Simulation(cfg, *quiet_traces(cfg))
         sim.levels = [100e3] * cfg.n_bs   # every station a consumer, none a source
         calls = self.counted(monkeypatch)
-        metrics, outcome = sim.step(0)
+        metrics, jobs = sim.step(0)
         assert sorted(metrics.outage_ids) == list(range(cfg.n_bs))
-        assert (outcome.slot, outcome.jobs, outcome.net_flow_J) == (0, [], {})
+        assert jobs == []
+        assert (metrics.shortfall_ids, metrics.n_overruns) == ([], 0)
         assert calls == {"allocate_slot": 1}
 
     def test_links_held_over_a_quiet_slot_are_cleared_before_the_next_busy_one(self, monkeypatch):
@@ -684,10 +686,10 @@ class TestQuietSlots:
                 sim.levels = list(levels)
                 if clear_every_slot:
                     sim.grid.clear_reservations()
-                _, outcome = sim.step(t)
+                _, slot_jobs = sim.step(t)
                 jobs.append([
                     (j.job_id, j.decision, j.mini_slots, j.start_mini_slot, j.completion_s, j.status)
-                    for j in outcome.jobs
+                    for j in slot_jobs
                 ])
             return jobs
 
@@ -741,6 +743,59 @@ class TestSlotVectorsStayPut:
             assert len({tuple(getattr(m, name)) for m in result.slots}) == cfg.horizon_slots
         for name in ("demand_J", "delivered_J", "flow_J"):
             assert len({tuple(getattr(m, name)) for m in result.slots}) > cfg.horizon_slots // 2
+
+
+def packed(vector):
+    return struct.pack(f"<{len(vector)}d", *vector)
+
+
+def vectors_from_jobs(n_stations, jobs):
+    """A slot's flow and delivered vectors (as bytes), shortfall ids and overrun count, from its jobs.
+
+    Each entry starts at 0.0 and adds in job order, as the transfer pass must.
+    """
+    flows, delivered = [0.0] * n_stations, [0.0] * n_stations
+    for job in jobs:
+        d = job.decision
+        flows[d.consumer_id] += d.delivered_J
+        flows[d.source_id] -= d.gross_J
+        delivered[d.consumer_id] += d.delivered_J
+    shortfall_ids = sorted({job.decision.consumer_id for job in jobs if job.decision.shortfall})
+    return packed(flows), packed(delivered), shortfall_ids, sum(job.overrun for job in jobs)
+
+
+def check_vectors_follow_jobs(result):
+    """Every stored slot's vectors are those its jobs give; returns the run's jobs."""
+    by_slot = collections.defaultdict(list)
+    for slot, job in result.jobs:
+        by_slot[slot].append(job)
+    for m in result.slots:
+        stored = packed(m.flow_J), packed(m.delivered_J), list(m.shortfall_ids), m.n_overruns
+        assert stored == vectors_from_jobs(result.config.n_bs, by_slot[m.slot]), m.slot
+    return [job for _, job in result.jobs]
+
+
+class TestVectorsFollowJobs:
+    """The step's flow, delivered, shortfall and overrun results are its jobs', bit for bit."""
+
+    def test_small_configs(self):
+        trades = {}
+
+        @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+        @given(config=small_configs(trading=True))
+        def check(config):
+            trades[config] = bool(check_vectors_follow_jobs(run(config)))
+
+        check()
+        # a draw without jobs checks only zeros
+        assert 2 * sum(trades.values()) >= len(trades), (sum(trades.values()), len(trades))
+
+    def test_contended_variant(self, reference_config):
+        jobs = check_vectors_follow_jobs(run(contended_config(reference_config)))
+        assert any(job.overrun for job in jobs)
+        assert any(job.start_mini_slot > 0 for job in jobs)
+        assert any(job.mini_slots > 1 for job in jobs)
+        assert any(job.decision.shortfall for job in jobs)
 
 
 def queue_proof_violations(config, slots):

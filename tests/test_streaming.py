@@ -96,33 +96,38 @@ class TestReferenceBytes:
 
 
 @st.composite
-def small_configs(draw) -> SimConfig:
-    """Small scenarios, most of which trade.
+def small_configs(draw, trading: bool = False) -> SimConfig:
+    """Small scenarios, many of which trade.
 
     A grid-connected station sits at its upper threshold after slot 0 and
     turns source once the sun outruns its load; an off-grid station that
     started nearly empty is then still a consumer. On a 24-slot day the sun
-    rises at slot 6, so most horizons reach it; a 1440-slot day stays dark
-    for 30 slots, and one in four configs keeps that quiet night.
+    rises at slot 6; a 1440-slot day stays dark for 30 slots, and one in
+    four configs keeps that quiet night. Small horizons are drawn often,
+    and many stop before the sunrise. trading=True leaves out what keeps a
+    run from trading: every horizon reaches the sunrise, every day has 24
+    slots, some station is off the grid and none starts nearly full.
     """
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(2 if rows == 1 else 1, 5))
-    on_grid = draw(st.lists(st.integers(0, rows * cols - 1), unique=True, min_size=1, max_size=2))
+    max_on_grid = min(2, rows * cols - 1) if trading else 2
+    on_grid = draw(st.lists(st.integers(0, rows * cols - 1), unique=True, min_size=1, max_size=max_on_grid))
     low = draw(st.floats(0.01, 0.95))
+    # four starts below the lower threshold, and one nearly full
+    fills = (0.0, 0.25 * low, 0.5 * low, 0.9 * low) + (() if trading else (0.9,))
     return SimConfig(
         rows=rows,
         cols=cols,
         on_grid_ids=tuple(sorted(on_grid)),
-        horizon_slots=draw(st.one_of(st.integers(0, 30), st.integers(10, 30))),
+        horizon_slots=draw(st.integers(10, 30) if trading else st.one_of(st.integers(0, 30), st.integers(10, 30))),
         policy=draw(st.sampled_from(allocation.POLICIES)),
         lam=draw(st.sampled_from((0.0, 1e-4, 1.0, 1e3))),
         beta_low_fraction=low,
         beta_up_fraction=draw(st.floats(low, 0.999, exclude_min=True)),
         # a small link power stretches jobs over many mini-slots, so they contend
         phi_max_J=draw(st.sampled_from((1e4, 3e4, 1e5))),
-        # four starts below the lower threshold, and one nearly full
-        initial_fill_fraction=draw(st.sampled_from((0.0, 0.25 * low, 0.5 * low, 0.9 * low, 0.9))),
-        slots_per_day=draw(st.sampled_from((24, 24, 24, 1440))),
+        initial_fill_fraction=draw(st.sampled_from(fills)),
+        slots_per_day=draw(st.sampled_from((24,) if trading else (24, 24, 24, 1440))),
         harvest_jitter=draw(st.sampled_from((0.0, 0.3))),
         n_vue_groups=draw(st.integers(0, 3)),
         seed=draw(st.integers(1, 20)),

@@ -14,10 +14,11 @@ from ppgsim.errors import ConfigError
 from ppgsim.topology import PpgGrid, loss_model_for
 from ppgsim.transfer import (
     LinkGrant,
+    SlotTransfers,
     TransferJob,
-    TransferOutcome,
     _earliest_start,
     execute_transfers,
+    job_grants,
     link_occupancy,
     mini_slot_count,
 )
@@ -31,7 +32,7 @@ def run_transfers(decisions, positions, grid=None):
         decisions,
         grid,
         positions,
-        slot_index=0,
+        n_stations=len(positions),
         mini_slot_duration_s=5.0,
         processing_delay_s=2.0,
         phi_max_J=100e3,
@@ -74,8 +75,8 @@ class TestExecuteTransfers:
         positions = {0: (0, 0), 1: (0, 1)}
         d = AllocationDecision(0, 1, 27e3 / FRACTION(1), FRACTION(1), 1)
         outcome = run_transfers([d], positions)
-        assert outcome.net_flow_J.get(1, 0.0) == pytest.approx(27e3)
-        assert outcome.net_flow_J.get(0, 0.0) == pytest.approx(-27e3 / FRACTION(1))
+        assert outcome.flow_J[1] == pytest.approx(27e3)
+        assert outcome.flow_J[0] == pytest.approx(-27e3 / FRACTION(1))
         job = outcome.jobs[0]
         assert job.mini_slots == 1
         assert job.start_mini_slot == 0
@@ -101,8 +102,7 @@ class TestExecuteTransfers:
 
     def test_no_jobs(self):
         outcome = run_transfers([], {})
-        assert outcome.net_flow_J == {}
-        assert outcome.jobs == []
+        assert outcome == SlotTransfers([], [], [], [], 0)
 
     def test_overrun_flagged_but_completed(self):
         positions = {0: (0, 0), 1: (0, 1)}
@@ -112,7 +112,8 @@ class TestExecuteTransfers:
         job = outcome.jobs[0]
         assert job.overrun
         assert job.mini_slots == 13
-        assert outcome.net_flow_J.get(1, 0.0) == pytest.approx(1.25e6)
+        assert outcome.flow_J[1] == pytest.approx(1.25e6)
+        assert outcome.n_overruns == 1
 
     def test_contention_pushes_job_into_overrun(self):
         positions = {0: (0, 0), 1: (0, 1)}
@@ -123,6 +124,7 @@ class TestExecuteTransfers:
         outcome = run_transfers(decisions, positions)
         assert [j.overrun for j in outcome.jobs] == [False] * 11 + [True, True]
         assert outcome.jobs[-1].start_mini_slot == 12
+        assert outcome.n_overruns == 2
 
     def test_conservation_with_losses(self):
         positions = {0: (0, 0), 1: (0, 5), 2: (3, 0), 3: (1, 1)}
@@ -133,9 +135,10 @@ class TestExecuteTransfers:
         ]
         outcome = run_transfers(decisions, positions)
         expected = sum(d.gross_J * d.fraction for d in decisions)
-        received = outcome.net_flow_J.get(3, 0.0) + outcome.net_flow_J.get(1, 0.0)
+        received = outcome.flow_J[3] + outcome.flow_J[1]
         assert received == pytest.approx(expected, rel=1e-12)
-        assert sum(outcome.net_flow_J.values()) <= 0.0
+        assert outcome.delivered_J[3] + outcome.delivered_J[1] == received
+        assert sum(outcome.flow_J) <= 0.0
 
     def test_no_link_carries_two_jobs_in_same_mini_slot(self):
         positions = {0: (0, 0), 1: (0, 1), 2: (0, 2), 3: (1, 1)}
@@ -146,7 +149,7 @@ class TestExecuteTransfers:
         ]
         outcome = run_transfers(decisions, positions)
         seen: dict[tuple, list[tuple[int, int]]] = {}
-        for grant in outcome.grants:
+        for grant in (grant for job in outcome.jobs for grant in job_grants(0, job)):
             for other_start, other_end in seen.get(grant.link, []):
                 assert not (grant.start_mini_slot < other_end and other_start < grant.end_mini_slot)
             seen.setdefault(grant.link, []).append((grant.start_mini_slot, grant.end_mini_slot))
@@ -265,8 +268,8 @@ class TestDerivedGrants:
             AllocationDecision(0, 2, 150e3, FRACTION(2), 2),
             AllocationDecision(1, 2, 50e3, FRACTION(1), 1),
         ]
-        outcome = execute_transfers(decisions, PpgGrid(), positions, 4, 5.0, 2.0, 100e3, 60.0)
-        assert outcome.grants == [
+        jobs = execute_transfers(decisions, PpgGrid(), positions, 3, 5.0, 2.0, 100e3, 60.0).jobs
+        assert [grant for job in jobs for grant in job_grants(4, job)] == [
             LinkGrant(4, ((0, 0), (0, 1)), 0, 2, 0),
             LinkGrant(4, ((0, 1), (0, 2)), 0, 2, 0),
             LinkGrant(4, ((0, 1), (0, 2)), 2, 3, 1),
@@ -274,10 +277,15 @@ class TestDerivedGrants:
 
 
 def oracle_execute_transfers(
-    decisions, grid, positions, slot_index, mini_slot_duration_s, processing_delay_s, phi_max_J, deadline_s
+    decisions, grid, positions, n_stations, mini_slot_duration_s, processing_delay_s, phi_max_J, deadline_s
 ):
-    """The schedule execute_transfers must produce, restated job by job as the oracle."""
-    outcome = TransferOutcome(slot_index)
+    """What execute_transfers must return, restated job by job as the oracle.
+
+    The per-station vectors are folded one station at a time over the jobs,
+    from 0.0 in job order, so each entry sees the additions the one pass
+    makes to it, in the same order.
+    """
+    jobs = []
     for job_id, decision in enumerate(decisions):
         delivered = decision.delivered_J
         route = grid.static_route(positions[decision.source_id], positions[decision.consumer_id])
@@ -289,15 +297,28 @@ def oracle_execute_transfers(
             for link in route.power_links:
                 link.reserve(start, start + y)
         status = "overrun" if completion > deadline_s else "done"
-        outcome.jobs.append(
+        jobs.append(
             TransferJob(
                 job_id=job_id, decision=decision, route=route, mini_slots=y, start_mini_slot=start,
                 occupancy_s=occupancy, completion_s=completion, status=status,
             )
         )
-        outcome.net_flow_J[decision.consumer_id] = outcome.net_flow_J.get(decision.consumer_id, 0.0) + delivered
-        outcome.net_flow_J[decision.source_id] = outcome.net_flow_J.get(decision.source_id, 0.0) - decision.gross_J
-    return outcome
+    flows, received = [], []
+    for i in range(n_stations):
+        flow = into = 0.0
+        for job in jobs:
+            d = job.decision
+            if d.consumer_id == i:
+                flow += d.gross_J * d.fraction
+                into += d.gross_J * d.fraction
+            if d.source_id == i:
+                flow -= d.gross_J
+        flows.append(flow)
+        received.append(into)
+    short = [job.decision.consumer_id for job in jobs if job.decision.shortfall]
+    shortfall_ids = [i for i in range(n_stations) if i in short]
+    n_overruns = len([job for job in jobs if job.status == "overrun"])
+    return jobs, flows, received, shortfall_ids, n_overruns
 
 
 def bits(x):
@@ -317,29 +338,32 @@ def transfer_slots(draw):
         # 5e-324 times a fraction of at most 0.5 lands 0.0: a zero-length job
         gross = draw(st.sampled_from([5e-324, 50e3, 100e3]) | st.floats(1e-3, 600e3))
         fraction = draw(st.just(FRACTION(hops)) | st.floats(0.0, 1.0, exclude_min=True))
-        decisions.append(AllocationDecision(source, consumer, gross, fraction, hops))
+        decisions.append(AllocationDecision(source, consumer, gross, fraction, hops, draw(st.booleans())))
     phi_max_J = draw(st.sampled_from([0.0, 5e3, 40e3, 100e3, math.inf]))
     timing = draw(st.sampled_from([(5.0, 2.0, 60.0), (5.0, 0.0, 30.0), (2.5, 1.0, 20.0)]))
     return rows, cols, decisions, phi_max_J, timing
 
 
 def executed(fn, rows, cols, decisions, phi_max_J, timing):
-    """One implementation's jobs, flows (floats as bytes) and link calendars, or its error."""
+    """One implementation's five results (floats as bytes) and link calendars, or its error."""
     grid = PpgGrid(rows=rows, cols=cols)
-    positions = {i: divmod(i, cols) for i in range(rows * cols)}
+    n = rows * cols
+    positions = {i: divmod(i, cols) for i in range(n)}
     mini_slot_s, xi_s, delta_s = timing
     try:
-        outcome = fn(decisions, grid, positions, 3, mini_slot_s, xi_s, phi_max_J, delta_s)
+        jobs, flows, received, shortfall_ids, n_overruns = fn(
+            decisions, grid, positions, n, mini_slot_s, xi_s, phi_max_J, delta_s
+        )
     except (ConfigError, ValueError) as exc:
         return type(exc).__name__, str(exc)
     jobs = [
         (job.job_id, job.decision, job.route, job.mini_slots, job.start_mini_slot,
          bits(job.occupancy_s), bits(job.completion_s), job.status)
-        for job in outcome.jobs
+        for job in jobs
     ]
-    flows = [(i, bits(v)) for i, v in outcome.net_flow_J.items()]
+    vectors = [struct.pack(f"<{len(v)}d", *v) for v in (flows, received)]
     calendars = [(key, link.mask) for key, link in grid.links.items()]
-    return outcome.slot, jobs, flows, calendars, outcome.grants
+    return jobs, vectors, shortfall_ids, n_overruns, calendars
 
 
 class TestMatchesPerJobOracle:
@@ -351,6 +375,6 @@ class TestMatchesPerJobOracle:
     def test_bad_capacity_rejected_once_there_is_a_job(self):
         decision = AllocationDecision(0, 1, 10e3, FRACTION(1), 1)
         positions = {0: (0, 0), 1: (0, 1)}
-        assert execute_transfers([], PpgGrid(), positions, 0, 5.0, 2.0, 0.0, 60.0).jobs == []
+        assert execute_transfers([], PpgGrid(), positions, 2, 5.0, 2.0, 0.0, 60.0).jobs == []
         with pytest.raises(ConfigError, match="phi_max_J must be positive"):
-            execute_transfers([decision], PpgGrid(), positions, 0, 5.0, 2.0, 0.0, 60.0)
+            execute_transfers([decision], PpgGrid(), positions, 2, 5.0, 2.0, 0.0, 60.0)
