@@ -253,9 +253,10 @@ def lyapunov_ring_picks(
             if live is None and cols and hops >= LIVE_RINGS_FROM and 4 * hops >= len(available):
                 live = live_rings(consumer, available, cols, hops)
             for s in rings(consumer, hops) if live is None else live.get(hops, ()):
-                if s not in available:
+                surplus = available.get(s)
+                if surplus is None:
                     continue
-                amount = available[s] * fraction
+                amount = surplus * fraction
                 if amount >= demand_J:
                     ge.append(s)
                 # a NaN amount joins neither pool; only the nearest inadequate ring counts
@@ -402,10 +403,11 @@ def allocate_slot(
     """Serve one slot's consumers in order under the named policy.
 
     shape is the (rows, cols) of the row-major station lattice. A source is
-    dropped once its surplus is spent, so a consumer that finds none left is
-    an outage without a search. Returns the decision list plus the ids of
-    consumers no source could serve at all; a slot without consumers
-    returns ([], []) and draws nothing from rng.
+    dropped once its surplus is spent, so once none is left every consumer
+    not yet served is an outage, in consumer_order, without a search or a
+    draw from rng. Returns the decision list plus the ids of consumers no
+    source could serve at all; a slot without consumers returns ([], [])
+    and draws nothing from rng.
     """
     if policy not in PICKS:
         raise ConfigError(f"unknown policy {policy!r}; pick one of {POLICIES}")
@@ -413,8 +415,12 @@ def allocate_slot(
     available = {s: a for s, a in surpluses.items() if a > 0.0}
     decisions: list[AllocationDecision] = []
     outages: list[int] = []
-    for consumer in consumer_order(demands, priority):
-        picked = pick(consumer, demands[consumer], available) if available else None
+    order = consumer_order(demands, priority)
+    for k, consumer in enumerate(order):
+        if not available:
+            outages += order[k:]
+            break
+        picked = pick(consumer, demands[consumer], available)
         if picked is None:
             outages.append(consumer)
             continue

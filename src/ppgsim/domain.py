@@ -163,9 +163,15 @@ def battery_steps(
     buys up to its upper threshold on that provisional level, capped at
     capacity. A station is clamped or capped when its raw sum, purchase
     included, fell below zero or rose above capacity. Vectors of different
-    lengths raise ValueError.
+    lengths raise ValueError before any station is read, so that error wins
+    over a bad level or input.
     """
     n = len(levels_J)
+    if not (len(harvested_J) == len(consumed_J) == len(transferred_J) == len(grid_connected) == n):
+        raise ValueError(
+            "vectors must have one entry per station, got lengths "
+            f"{[len(v) for v in (levels_J, harvested_J, consumed_J, transferred_J, grid_connected)]}"
+        )
     levels = [0.0] * n
     purchases = [0.0] * n
     clamped: list[int] = []
@@ -173,8 +179,8 @@ def battery_steps(
     demand = [0.0] * n
     demands: dict[int, float] = {}
     surpluses: dict[int, float] = {}
-    for i, (level, h, c, flow, on_grid) in enumerate(
-        zip(levels_J, harvested_J, consumed_J, transferred_J, grid_connected, strict=True)
+    for i, level, h, c, flow, on_grid in zip(
+        range(n), levels_J, harvested_J, consumed_J, transferred_J, grid_connected
     ):
         if not (0.0 <= level <= capacity_J):
             raise ValueError(f"station {i}: level {level} outside [0, {capacity_J}]")

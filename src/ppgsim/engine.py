@@ -270,6 +270,9 @@ class SlotMetrics:
     The vectors are the step's own lists, not copies; nothing mutates them.
     flow_J, delivered_J, shortfall_ids and n_overruns are the transfer
     pass's (transfer.SlotTransfers), or zeros in a slot without decisions.
+    Simulation.step builds each slot's metrics by position, so the field
+    order below is part of the step's contract: reordering the fields means
+    reordering the step's arguments.
     """
 
     slot: int
@@ -373,7 +376,11 @@ class Simulation:
 
     To set the levels between steps, assign a new list to levels; the step
     never mutates a list it built, and reuses the roles its battery pass
-    read only while levels is still the list that pass wrote.
+    read only while levels is still the list that pass wrote. The values
+    SimConfig derives by property (n_bs, beta_low_J, beta_up_J,
+    offpeak_threshold_J) are read once, here, not every slot: same
+    expressions, same bits, and the config is frozen, so they cannot go
+    stale.
     """
 
     def __init__(
@@ -405,6 +412,10 @@ class Simulation:
         self.fractions = [
             self.loss.delivered_fraction(d) for d in range(config.rows + config.cols - 1)
         ]
+        self.n_bs = config.n_bs
+        # (capacity, lower, upper): the battery bounds every step reads
+        self.thresholds = config.beta_max_J, config.beta_low_J, config.beta_up_J
+        self.offpeak_threshold_J = config.offpeak_threshold_J
         self.ids = list(range(config.n_bs))
         self.positions = {i: divmod(i, config.cols) for i in self.ids}
         self.on_grid = [i in config.on_grid_ids for i in self.ids]
@@ -434,8 +445,8 @@ class Simulation:
 
     def step(self, t: int) -> tuple[SlotMetrics, list[TransferJob]]:
         cfg = self.config
-        n = cfg.n_bs
-        cap, low, up = cfg.beta_max_J, cfg.beta_low_J, cfg.beta_up_J
+        n = self.n_bs
+        cap, low, up = self.thresholds
         on_grid = self.on_grid
         # no per-station list is mutated once built: battery_steps returns
         # new ones, so the slot's metrics need no copies
@@ -483,7 +494,7 @@ class Simulation:
             jobs, flows, delivered, shortfall_ids, n_overruns = [], [0.0] * n, [0.0] * n, [], 0
 
         solar, wind = self.harvest.sample(t)
-        harvest_J = ingest.harvest_select(solar, wind, cfg.offpeak_threshold_J)
+        harvest_J = ingest.harvest_select(solar, wind, self.offpeak_threshold_J)
         harvested = [j * harvest_J for j in self.jitter]
         k = t % self.slots_per_day
         idle, peak = cfg.idle_energy_J, cfg.max_load_energy_J
@@ -495,24 +506,11 @@ class Simulation:
         )
         self._roles = self.levels, next_roles
 
+        # by position, in SlotMetrics' field order
         return SlotMetrics(
-            slot=t,
-            level_J=levels_start,
-            level_end_J=self.levels,
-            n_sources=len(surpluses),
-            n_consumers=len(demands),
-            demand_J=demand,
-            delivered_J=delivered,
-            flow_J=flows,
-            purchase_J=purchases,
-            harvest_J=harvested,
-            consumption_J=consumption,
-            association=serving,
-            outage_ids=outage_ids,
-            shortfall_ids=shortfall_ids,
-            clamped_ids=clamped,
-            capped_ids=capped,
-            n_overruns=n_overruns,
+            t, levels_start, self.levels, len(surpluses), len(demands), demand, delivered, flows,
+            purchases, harvested, consumption, serving, outage_ids, shortfall_ids, clamped, capped,
+            n_overruns,
         ), jobs
 
     def run(self, sink: SlotSink | None = None):

@@ -10,7 +10,10 @@ point. Associations go to the nearest base station, lowest id on ties.
 The engine steps a ``Fleet``: every group's position in one flat list,
 moved in place each slot. ``rpgm_step``, ``nearest_bs`` and
 ``association_set`` do the same for ``VueGroup`` values through the same
-move and lookup helpers.
+move and lookup helpers. There is one nearest-station loop, ``_nearest``:
+``Fleet.step`` and ``Fleet.trajectory_rows`` pass it the whole fleet's
+lists in one call, and ``nearest_bs`` passes one-element lists, so the
+lookup's arithmetic has one copy.
 """
 
 from __future__ import annotations
@@ -93,32 +96,38 @@ def _row_terms(y_m: float, rows: int, cols: int, spacing_m: float) -> tuple[int,
 
 
 def _nearest(
-    x_m: float, row_terms: tuple[int, int, float, float], cols: int, spacing_m: float
-) -> int:
-    """Id of the station nearest to x on the rows given by _row_terms (see nearest_bs).
+    x_m: Sequence[float],
+    row_terms: Sequence[tuple[int, int, float, float]],
+    cols: int,
+    spacing_m: float,
+) -> list[int]:
+    """Ids of the stations nearest to each x, on the rows given by its _row_terms (see nearest_bs).
 
-    The four candidates are compared in ascending id order and a later one
-    replaces the best only when strictly nearer, so the lowest id wins ties.
+    x_m and row_terms are parallel per-point lists. For each point the four
+    candidates are compared in ascending id order and a later one replaces
+    the best only when strictly nearer, so the lowest id wins ties.
     """
-    b0, b1, dy0, dy1 = row_terms
-    c0 = math.floor(x_m / spacing_m)
-    if c0 < 0:
-        c0 = 0
-    elif c0 >= cols:
-        c0 = cols - 1
-    c1 = c0 + 1 if c0 + 1 < cols else c0
-    dx0 = (c0 * spacing_m - x_m) ** 2
-    dx1 = (c1 * spacing_m - x_m) ** 2
-    best, best_id = dx0 + dy0, b0 + c0
-    d = dx1 + dy0
-    if d < best:
-        best, best_id = d, b0 + c1
-    d = dx0 + dy1
-    if d < best:
-        best, best_id = d, b1 + c0
-    if dx1 + dy1 < best:
-        best_id = b1 + c1
-    return best_id
+    ids = []
+    for x, (b0, b1, dy0, dy1) in zip(x_m, row_terms):
+        c0 = math.floor(x / spacing_m)
+        if c0 < 0:
+            c0 = 0
+        elif c0 >= cols:
+            c0 = cols - 1
+        c1 = c0 + 1 if c0 + 1 < cols else c0
+        dx0 = (c0 * spacing_m - x) ** 2
+        dx1 = (c1 * spacing_m - x) ** 2
+        best, best_id = dx0 + dy0, b0 + c0
+        d = dx1 + dy0
+        if d < best:
+            best, best_id = d, b0 + c1
+        d = dx0 + dy1
+        if d < best:
+            best, best_id = d, b1 + c0
+        if dx1 + dy1 < best:
+            best_id = b1 + c1
+        ids.append(best_id)
+    return ids
 
 
 def rpgm_step(group: VueGroup, tau_s: float, world_length_m: float) -> VueGroup:
@@ -140,7 +149,7 @@ def nearest_bs(x_m: float, y_m: float, rows: int, cols: int, spacing_m: float) -
     The two agree while a point lies within about 1e7 spacings of the grid;
     farther out, rounding can make stations beyond the block tie with it.
     """
-    return _nearest(x_m, _row_terms(y_m, rows, cols, spacing_m), cols, spacing_m)
+    return _nearest([x_m], [_row_terms(y_m, rows, cols, spacing_m)], cols, spacing_m)[0]
 
 
 def association_set(
@@ -180,15 +189,12 @@ class Fleet:
     def step(self) -> frozenset[int]:
         """Advance every group one slot; returns the stations now serving at least one."""
         _advance(self.x_m, self.move_m, self.world_length_m)
-        cols, spacing_m = self.cols, self.spacing_m
-        return frozenset(
-            [_nearest(x_m, terms, cols, spacing_m) for x_m, terms in zip(self.x_m, self.row_terms)]
-        )
+        return frozenset(_nearest(self.x_m, self.row_terms, self.cols, self.spacing_m))
 
     def trajectory_rows(self, slot_index: int) -> list[tuple[int, int, float, float, int]]:
         """Debug dump rows of the current positions: (slot, group, x, y, serving_bs), one per group."""
-        cols, spacing_m = self.cols, self.spacing_m
+        serving = _nearest(self.x_m, self.row_terms, self.cols, self.spacing_m)
         return [
-            (slot_index, g, x_m, y_m, _nearest(x_m, terms, cols, spacing_m))
-            for g, x_m, y_m, terms in zip(self.group_ids, self.x_m, self.y_m, self.row_terms)
+            (slot_index, g, x_m, y_m, bs)
+            for g, x_m, y_m, bs in zip(self.group_ids, self.x_m, self.y_m, serving)
         ]

@@ -14,10 +14,12 @@ grid's dirty list, and PpgGrid.clear_reservations clears only the links
 on that list, whoever reserved them.
 
 Routes. static_route is memoised per grid: the first call for a (source,
-consumer) pair builds and validates the Route; later calls return the
-same Route. The grid keeps each column's nodes and vertical links in row
-order, and each row's in column order, so a route is two slices of those
-lines (reversed when it walks up or left), with no link looked up by key.
+consumer) pair builds the Route; later calls return the same Route. The
+grid keeps each column's nodes and vertical links in row order, and each
+row's in column order, so a route is two slices of those lines (reversed
+when it walks up or left), with no link looked up by key. Consecutive
+nodes of a line slice are adjacent, so such a route skips the adjacency
+check every other Route runs when it is built.
 """
 
 from __future__ import annotations
@@ -97,6 +99,19 @@ class Route:
         for a, b in zip(self.hops, self.hops[1:]):
             if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
                 raise ValueError(f"nodes {a} and {b} are not adjacent")
+
+    @classmethod
+    def _adjacent(cls, hops: tuple[Node, ...], power_links: tuple[PowerLink, ...]) -> Route:
+        """A route whose hops are adjacent by construction, built without __post_init__'s check.
+
+        Only PpgGrid._walk builds one: its hops are slices of a grid line.
+        Every other Route is checked.
+        """
+        route = object.__new__(cls)
+        # what the frozen dataclass's own __init__ does, minus __post_init__
+        object.__setattr__(route, "hops", hops)
+        object.__setattr__(route, "power_links", power_links)
+        return route
 
     @property
     def hop_count(self) -> int:
@@ -202,7 +217,7 @@ class PpgGrid:
         else:
             hops += nodes[c1:c0][::-1]
             route_links += links[c1:c0][::-1]
-        return Route(tuple(hops), tuple(route_links))
+        return Route._adjacent(tuple(hops), tuple(route_links))
 
     def clear_reservations(self) -> None:
         """Empty every link reserved since the last clear; the rest already are."""

@@ -270,6 +270,47 @@ class TestSlotDrivers:
             )
 
 
+class TestOutageTail:
+    """Once the slot's last source is spent, every consumer not yet served is
+    an outage, in consumer_order, with no further pick and no rng draw."""
+
+    # on the 4x6 lattice source 3 sits one hop from consumer 9; 9 and 14 serve
+    # vehicles, so consumer_order is [9, 14, 2, 5], and 20 kJ cannot cover
+    # 9's 30 kJ demand, so 9 takes all of it
+    DEMANDS = {2: 30e3, 5: 30e3, 9: 30e3, 14: 30e3}
+    PRIORITY = frozenset({9, 14})
+
+    @pytest.mark.parametrize("policy", allocation.POLICIES)
+    def test_first_consumer_spends_the_only_source(self, monkeypatch, policy):
+        picked_for = []
+        build = allocation.PICKS[policy]
+
+        def counted_build(*args):
+            pick = build(*args)
+
+            def counted(consumer, demand_J, available):
+                picked_for.append(consumer)
+                return pick(consumer, demand_J, available)
+
+            return counted
+
+        monkeypatch.setitem(allocation.PICKS, policy, counted_build)
+        rng = random.Random(8)
+        decisions, outages = allocate_slot(
+            policy, self.DEMANDS, self.PRIORITY, {3: 20e3}, (4, 6), FRACTION, 1.0, rng
+        )
+        assert picked_for == [9]
+        assert [(d.source_id, d.consumer_id, d.gross_J, d.shortfall) for d in decisions] == [
+            (3, 9, 20e3, True)
+        ]
+        assert outages == consumer_order(self.DEMANDS, self.PRIORITY)[1:] == [14, 2, 5]
+        # random draws once, for consumer 9, and never after the source is spent
+        expected = random.Random(8)
+        if policy == "random":
+            expected.choice([3])
+        assert rng.getstate() == expected.getstate()
+
+
 # The sort-based slot drivers that the ring search replaced, kept as the
 # oracle: every source's hop count is computed, sources are sorted by
 # (hops, id), and spent sources stay in the map with a surplus of <= 0.

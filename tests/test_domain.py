@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -343,6 +344,16 @@ class TestBatterySteps:
     def test_rejects_vectors_of_different_lengths(self):
         with pytest.raises(ValueError):
             battery_steps([0.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0], [False, False], CAP, LOW, UP)
+
+    @pytest.mark.parametrize("short", range(5))
+    def test_length_error_wins_over_a_bad_first_station(self, short):
+        # station 0 has a NaN level and a negative harvest, and one vector is
+        # a station short: the lengths are checked before any station is read
+        vectors = [[math.nan, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [False, False]]
+        vectors[short] = vectors[short][:1]
+        lengths = [1 if k == short else 2 for k in range(5)]
+        with pytest.raises(ValueError, match=re.escape(f"one entry per station, got lengths {lengths}")):
+            battery_steps(*vectors, CAP, LOW, UP)
 
     def test_rejects_negative_inputs_naming_station(self):
         with pytest.raises(ValueError, match="station 1:"):

@@ -337,6 +337,50 @@ class TestStepSemantics:
             assert len(m.association) <= cfg.n_vue_groups
 
 
+class TestSlotMetricsFields:
+    """The step builds SlotMetrics by position, so each value must land in its own field."""
+
+    def test_planted_slot_fills_each_field(self):
+        # radial, so a consumer with no source within two rings is an outage;
+        # stations 0, 11, 17 and 22 draw 400 kJ, the rest nothing, and every
+        # station harvests 200 kJ
+        cfg = SimConfig(
+            horizon_slots=1, idle_energy_J=0.0, max_load_energy_J=400e3, on_grid_ids=(),
+            policy="radial", n_vue_groups=2, slots_per_day=24,
+        )
+        heavy = (0, 11, 17, 22)
+        profiles = LoadProfileSet(
+            ((0.0,) * 24, (1.0,) * 24), {i: int(i in heavy) for i in range(cfg.n_bs)}
+        )
+        sim = Simulation(cfg, profiles, HarvestTraceSet((200e3,), (0.0,)))
+        planted = [200e3] * cfg.n_bs
+        planted[0] = 150e3   # neutral, then 150 + 200 - 400 kJ: clamped at 0
+        planted[1] = 340e3   # neutral, then 340 + 200 kJ: capped at 490 kJ
+        planted[6] = 100e3   # a consumer at (1, 0), more than two hops from every source
+        planted[23] = 0.0    # a consumer at (3, 5) beside sources 17 and 22
+        planted[11] = planted[17] = planted[22] = 400e3
+        sim.levels = planted
+        m, jobs = sim.step(0)
+        assert m.slot == 0
+        assert (m.n_sources, m.n_consumers) == (3, 2)
+        assert m.level_J is planted and m.level_end_J is sim.levels
+        assert (m.level_end_J[0], m.level_end_J[1]) == (0.0, 490e3)
+        assert (m.clamped_ids, m.capped_ids) == ([0], [1])
+        assert list(m.harvest_J) == [200e3] * cfg.n_bs
+        assert list(m.consumption_J) == [400e3 if i in heavy else 0.0 for i in range(cfg.n_bs)]
+        # source 17, the lowest id one hop from 23, sends all of its 57 kJ surplus
+        [job] = jobs
+        assert (job.decision.source_id, job.decision.consumer_id, job.decision.shortfall) == (17, 23, True)
+        assert (m.outage_ids, m.shortfall_ids, m.n_overruns) == ([6], [23], 0)
+        assert [i for i, d in enumerate(m.demand_J) if d] == [6, 23]
+        assert (m.demand_J[6], m.demand_J[23]) == (47e3, 147e3)
+        assert [i for i, d in enumerate(m.delivered_J) if d] == [23]
+        assert [i for i, f in enumerate(m.flow_J) if f] == [17, 23]
+        assert m.flow_J[17] == -job.decision.gross_J and m.flow_J[23] == m.delivered_J[23]
+        assert not any(m.purchase_J)
+        assert m.association and m.association == frozenset(row[4] for row in sim.fleet.trajectory_rows(0))
+
+
 class TestRun:
     def test_zero_horizon(self):
         cfg = SimConfig(horizon_slots=0)
@@ -833,6 +877,21 @@ class TestQueueCannotMove:
     def test_small_configs(self, config):
         result = run(config)
         assert queue_proof_violations(config, result.slots) == []
+
+    def test_small_trading_configs(self):
+        # fewer than half of small_configs()'s draws above reach the allocator;
+        # most of these do, and the floor below keeps it so
+        trades = {}
+
+        @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+        @given(config=small_configs(trading=True))
+        def check(config):
+            result = run(config)
+            assert queue_proof_violations(config, result.slots) == []
+            trades[config] = bool(result.jobs)
+
+        check()
+        assert 2 * sum(trades.values()) >= len(trades), (sum(trades.values()), len(trades))
 
     def test_reference_compare(self, reference_runs):
         results, _ = reference_runs

@@ -175,7 +175,7 @@ class TestAssociation:
     def test_matches_tuple_min(self, case):
         rows, cols, spacing, x, y = case
         terms = _row_terms(y, rows, cols, spacing)
-        assert _nearest(x, terms, cols, spacing) == tuple_min_nearest(x, terms, cols, spacing)
+        assert _nearest([x], [terms], cols, spacing) == [tuple_min_nearest(x, terms, cols, spacing)]
 
     def test_single_row_and_single_column(self):
         for rows, cols in ((1, 7), (7, 1)):

@@ -278,3 +278,44 @@ class TestCalendar:
             grid.static_route((0, 0), (9, 9))
         with pytest.raises(ValueError):
             grid.static_route((1, 1), (1, 1))
+
+
+class TestTrustedRoutes:
+    """PpgGrid._walk builds its routes without Route's adjacency check, since
+    its hops are slices of grid lines; every other Route keeps the check."""
+
+    @staticmethod
+    def walked(grid, pairs):
+        for a, b in pairs:
+            route = grid.static_route(a, b)
+            # the checked constructor accepts the walked hops
+            assert Route(route.hops) == route
+
+    @pytest.mark.parametrize("rows, cols", [(4, 6), (1, 5), (5, 1), (3, 3)])
+    def test_every_walked_route_passes_the_check(self, rows, cols):
+        grid = PpgGrid(rows=rows, cols=cols)
+        nodes = grid.nodes()
+        self.walked(grid, ((a, b) for a in nodes for b in nodes if a != b))
+
+    def test_sampled_20x30_routes_pass_the_check(self):
+        grid = PpgGrid(rows=20, cols=30)
+        nodes = grid.nodes()
+        # every 7th source against every 11th consumer: all four walk directions,
+        # corner to corner, and single-line routes along row 0 and column 0
+        pairs = [(a, b) for a in nodes[::7] for b in nodes[::11] if a != b]
+        pairs += [((0, 0), (19, 29)), ((19, 29), (0, 0)), ((0, 29), (19, 0)), ((19, 0), (0, 29))]
+        assert len(pairs) > 4000
+        self.walked(grid, pairs)
+
+    @pytest.mark.parametrize(
+        "hops",
+        [
+            ((0, 0), (2, 0)),
+            ((0, 0), (0, 1), (0, 3), (0, 4)),
+            ((1, 1), (1, 2), (2, 3)),
+            ((0, 0), (0, 1), (0, 1)),
+        ],
+    )
+    def test_a_route_with_a_gap_raises(self, hops):
+        with pytest.raises(ValueError, match="not adjacent"):
+            Route(hops)
