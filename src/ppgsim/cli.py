@@ -184,11 +184,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
-        print("error: --values must be a comma-separated list of numbers", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("--values must be a comma-separated list of numbers") from None
     if not values:
-        print("error: --values is empty", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("--values is empty")
     sweep = engine.sweep_lambda(config, values, sink_for=engine.SummarySink)
     path = emit_lambda_table(sweep, args.out)
     for lam, result in sweep:
@@ -199,8 +197,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     if not args.profiles and not args.harvest:
-        print("error: nothing to validate; pass --profiles and/or --harvest", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("nothing to validate; pass --profiles and/or --harvest")
     if args.profiles:
         ingest.parse_profiles(args.profiles, args.slots_per_day)
         print(f"profiles ok: {args.profiles}")

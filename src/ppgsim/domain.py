@@ -93,20 +93,18 @@ def roles_of(
     capacity_J: float,
     low_J: float,
     up_J: float,
-) -> tuple[list[float], dict[int, float], dict[int, float]]:
+) -> tuple[dict[int, float], dict[int, float]]:
     """Trading role of every station at its reported level, in one pass.
 
-    Returns (demand vector, demands, surpluses): each station's demand
-    (zero unless it is a consumer), indexed by station id, and {id: amount}
-    maps of the consumers and of the sources; a station in neither map is
-    neutral. Levels strictly above the upper threshold are tradeable
-    surplus. An off-grid station strictly below the lower threshold demands
-    the gap. Grid-connected stations are never consumers; they cover
-    deficits by purchasing from the grid. A level outside [0, capacity_J],
-    NaN included, raises ValueError naming the station; vectors of
-    different lengths raise ValueError.
+    Returns (demands, surpluses): {id: amount} maps of the consumers and of
+    the sources, each filled in id order; a station in neither map is
+    neutral, and no station is in both. Levels strictly above the upper
+    threshold are tradeable surplus. An off-grid station strictly below
+    the lower threshold demands the gap. Grid-connected stations are never
+    consumers; they cover deficits by purchasing from the grid. A level
+    outside [0, capacity_J], NaN included, raises ValueError naming the
+    station; vectors of different lengths raise ValueError.
     """
-    demand = [0.0] * len(levels_J)
     demands: dict[int, float] = {}
     surpluses: dict[int, float] = {}
     for i, (level, on_grid) in enumerate(zip(levels_J, grid_connected, strict=True)):
@@ -115,8 +113,8 @@ def roles_of(
         if level > up_J:
             surpluses[i] = level - up_J
         elif level < low_J and not on_grid:
-            demands[i] = demand[i] = low_J - level
-    return demand, demands, surpluses
+            demands[i] = low_J - level
+    return demands, surpluses
 
 
 def role_of(level_J: float, grid_connected: bool, low_J: float, up_J: float) -> tuple[str, float]:
@@ -124,12 +122,12 @@ def role_of(level_J: float, grid_connected: bool, low_J: float, up_J: float) -> 
 
     The role is "source", "consumer" or "neutral", read from the maps of
     roles_of for one station with no upper bound on the level; see it for
-    the rules. A neutral station's amount is zero.
+    the rules. A neutral station's amount is 0.0.
     """
-    demand, demands, surpluses = roles_of([level_J], [grid_connected], math.inf, low_J, up_J)
+    demands, surpluses = roles_of([level_J], [grid_connected], math.inf, low_J, up_J)
     if surpluses:
         return "source", surpluses[0]
-    return "consumer" if demands else "neutral", demand[0]
+    return ("consumer", demands[0]) if demands else ("neutral", 0.0)
 
 
 def classify_role(buffer: EnergyBuffer, grid_connected: bool) -> tuple[str, float]:
@@ -146,22 +144,19 @@ def battery_steps(
     capacity_J: float,
     low_J: float,
     up_J: float,
-) -> tuple[
-    list[float], list[float], list[int], list[int], list[float], dict[int, float], dict[int, float]
-]:
+) -> tuple[list[float], list[float], list[int], list[int], dict[int, float], dict[int, float]]:
     """Advance every station's battery one slot, in one pass over the stations.
 
-    Returns (new levels, purchases, clamped ids, capped ids, demand vector,
-    demands, surpluses); the vectors are indexed by station id. The last
-    three are roles_of's result at the new levels, read by its rule in the
-    same pass but without its range check: a level is checked when it
-    starts the next pass, and a NaN one reads as neutral. transferred_J is
-    signed: positive when the station received energy, negative when it
-    sent some. An off-grid battery is capped at capacity and clamped at
-    zero (an empty battery cannot go negative; the engine logs the
-    shortfall). A grid-connected battery is floored at zero first, then
-    buys up to its upper threshold on that provisional level, capped at
-    capacity. A station is clamped or capped when its raw sum, purchase
+    Returns (new levels, purchases, clamped ids, capped ids, demands,
+    surpluses); the two lists are indexed by station id. The two maps are
+    roles_of's at the new levels, read by its rule in the same pass but
+    without its range check: a level is checked when it starts the next
+    pass, and a NaN one reads as neutral. transferred_J is signed:
+    positive when the station received energy, negative when it sent some.
+    An off-grid battery is capped at capacity and clamped at zero (an
+    empty battery cannot go negative; the engine logs the shortfall). A
+    grid-connected battery is floored at zero first, then buys up to its
+    upper threshold on that provisional level, capped at capacity. A station is clamped or capped when its raw sum, purchase
     included, fell below zero or rose above capacity. Vectors of different
     lengths raise ValueError before any station is read, so that error wins
     over a bad level or input.
@@ -176,7 +171,6 @@ def battery_steps(
     purchases = [0.0] * n
     clamped: list[int] = []
     capped: list[int] = []
-    demand = [0.0] * n
     demands: dict[int, float] = {}
     surpluses: dict[int, float] = {}
     for i, level, h, c, flow, on_grid in zip(
@@ -205,12 +199,12 @@ def battery_steps(
         if new > up_J:
             surpluses[i] = new - up_J
         elif new < low_J and not on_grid:
-            demands[i] = demand[i] = low_J - new
+            demands[i] = low_J - new
         if raw < 0.0:
             clamped.append(i)
         if raw > capacity_J:
             capped.append(i)
-    return levels, purchases, clamped, capped, demand, demands, surpluses
+    return levels, purchases, clamped, capped, demands, surpluses
 
 
 def battery_step(
@@ -227,7 +221,7 @@ def battery_step(
     battery_steps on one-station lists; see it for the rules.
     """
     # the roles are dropped, so any lower threshold serves
-    levels, purchases, clamped, capped, _, _, _ = battery_steps(
+    levels, purchases, clamped, capped, _, _ = battery_steps(
         [level_J], [harvested_J], [consumed_J], [transferred_J], [grid_connected],
         capacity_J, 0.0, up_threshold_J,
     )

@@ -11,12 +11,13 @@ Event order inside one slot is a frozen contract:
    consumers)
 5. execute transfers over the grid (TDM mini-slot scheduling; only in a
    slot with decisions, which first clears the links reserved before);
-   the same pass builds the slot's flow and delivered vectors, its
-   shortfall ids and its overrun count
+   the same pass builds the slot's net-flow vector, its shortfall ids and
+   its overrun count
 6. sample the slot's load and harvest
 7. update batteries; grid-connected stations purchase up to their
    upper threshold on the provisional end-of-slot level
-8. return the slot's (metrics, jobs), which run hands to the run's sink
+8. return the slot's (metrics, jobs), which run hands to the run's sink;
+   the metrics hold the role maps step 4 read and the flows step 7 read
 
 Consequences worth noting: energy delivered in a slot is usable against
 that slot's consumption (battery updates sum all flows at once), and a
@@ -29,7 +30,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -267,9 +267,11 @@ def config_from_items(items: Mapping[str, str]) -> SimConfig:
 class SlotMetrics:
     """One row per slot; per-station vectors are indexed by station id.
 
-    The vectors are the step's own lists, not copies; nothing mutates them.
-    flow_J, delivered_J, shortfall_ids and n_overruns are the transfer
-    pass's (transfer.SlotTransfers), or zeros in a slot without decisions.
+    The vectors and maps are the step's own, not copies; nothing mutates
+    them. demands and surpluses are the role maps the allocator read
+    (domain.roles_of). flow_J, shortfall_ids and n_overruns are the
+    transfer pass's (transfer.SlotTransfers), or zeros in a slot without
+    decisions; a station's delivered energy is its flow's positive part.
     Simulation.step builds each slot's metrics by position, so the field
     order below is part of the step's contract: reordering the fields means
     reordering the step's arguments.
@@ -278,10 +280,8 @@ class SlotMetrics:
     slot: int
     level_J: Sequence[float]
     level_end_J: Sequence[float]
-    n_sources: int
-    n_consumers: int
-    demand_J: Sequence[float]
-    delivered_J: Sequence[float]
+    demands: Mapping[int, float]
+    surpluses: Mapping[int, float]
     flow_J: Sequence[float]
     purchase_J: Sequence[float]
     harvest_J: Sequence[float]
@@ -464,7 +464,7 @@ class Simulation:
         classified, roles = self._roles
         if classified is not levels_start:
             roles = domain.roles_of(levels_start, on_grid, cap, low, up)
-        demand, demands, surpluses = roles
+        demands, surpluses = roles
 
         # a slot without consumers trades nothing and draws nothing from the
         # policy rng; the config already checked the policy and lam
@@ -487,11 +487,11 @@ class Simulation:
         # clears them
         if decisions:
             self.grid.clear_reservations()
-            jobs, flows, delivered, shortfall_ids, n_overruns = transfer.execute_transfers(
+            jobs, flows, shortfall_ids, n_overruns = transfer.execute_transfers(
                 decisions, self.grid, self.positions, n, cfg.mini_slot_s, cfg.xi_s, cfg.phi_max_J, cfg.delta_s
             )
         else:
-            jobs, flows, delivered, shortfall_ids, n_overruns = [], [0.0] * n, [0.0] * n, [], 0
+            jobs, flows, shortfall_ids, n_overruns = [], [0.0] * n, [], 0
 
         solar, wind = self.harvest.sample(t)
         harvest_J = ingest.harvest_select(solar, wind, self.offpeak_threshold_J)
@@ -508,9 +508,8 @@ class Simulation:
 
         # by position, in SlotMetrics' field order
         return SlotMetrics(
-            t, levels_start, self.levels, len(surpluses), len(demands), demand, delivered, flows,
-            purchases, harvested, consumption, serving, outage_ids, shortfall_ids, clamped, capped,
-            n_overruns,
+            t, levels_start, self.levels, demands, surpluses, flows, purchases, harvested,
+            consumption, serving, outage_ids, shortfall_ids, clamped, capped, n_overruns,
         ), jobs
 
     def run(self, sink: SlotSink | None = None):
@@ -699,10 +698,18 @@ class SummarySink:
     above the lower threshold under a policy that meets every demand.
     With keep_series, each slot's demand and delivered totals are kept too.
 
+    Totals come from the role maps and flows, exactly. Demand adds the
+    demands from 0.0, so a slot without consumers totals 0.0, not 0. No
+    station is both consumer and source in a slot, so a consumer's flow is
+    its deliveries added from 0.0 and no other flow is positive: delivered
+    adds the positive flows from 0.0 (the bits of adding every station's
+    +0.0 too), and the restored level adds each off-grid level and its
+    flow's positive part, always, so a -0.0 level reads +0.0.
+
     Zero rule: a slot's zeros are not added up. A vector with no non-zero
     entry (any() is false) totals +0.0, which is what left_sum gives for
-    signed zeros; and with no non-zero delivery, the restored minimum is
-    the level minimum unless that is a zero. Each short-cut keeps every bit.
+    signed zeros; and with no non-zero flow, the restored minimum is the
+    level minimum unless that is a zero. Each short-cut keeps every bit.
     """
 
     def __init__(self, config: SimConfig, keep_series: bool = False) -> None:
@@ -719,10 +726,11 @@ class SummarySink:
 
     def add(self, m: SlotMetrics) -> SlotRow:
         """Fold one slot into the totals and return its metrics row."""
-        flows, received = m.flow_J, m.delivered_J
-        demand = _total(m.demand_J)
-        delivered = _total(received)
-        negative = left_sum((f for f in flows if f < 0.0), 0.0) if any(flows) else 0.0
+        flows = m.flow_J
+        demand = left_sum(m.demands.values(), 0.0)
+        moved = any(flows)
+        delivered = left_sum((f for f in flows if f > 0.0), 0.0) if moved else 0.0
+        negative = left_sum((f for f in flows if f < 0.0), 0.0) if moved else 0.0
         purchase = _total(m.purchase_J)
         harvest = _total(m.harvest_J)
         consumption = _total(m.consumption_J)
@@ -731,14 +739,12 @@ class SummarySink:
         if self.offgrid:
             offgrid, levels = self.offgrid, m.level_J
             min_level = min(map(levels.__getitem__, offgrid))
-            if min_level and not any(received):
-                # a signed-zero delivery leaves a non-zero level's bits alone, so
-                # both minima stop at the same station and read the same
+            if min_level and not moved:
+                # adding +0.0 leaves a non-zero level's bits alone, so both
+                # minima stop at the same station and read the same
                 min_restored = min_level
             else:
-                min_restored = min(
-                    map(operator.add, map(levels.__getitem__, offgrid), map(received.__getitem__, offgrid))
-                )
+                min_restored = min([levels[i] + (flows[i] if flows[i] > 0.0 else 0.0) for i in offgrid])
             if min_level < self.min_level:
                 self.min_level = min_level
             if min_restored < self.min_restored:
@@ -761,7 +767,7 @@ class SummarySink:
             self.demand_series.append(demand)
             self.delivered_series.append(delivered)
         return SlotRow(
-            m.slot, m.n_sources, m.n_consumers,
+            m.slot, len(m.surpluses), len(m.demands),
             demand, delivered, -negative, _total(flows), purchase, harvest, consumption,
             len(m.outage_ids), len(m.shortfall_ids), m.n_overruns, len(m.association),
             min_level, min_restored, level / self.config.n_bs, 0.0,
@@ -958,15 +964,23 @@ def write_outputs(result: RunSummary, out_dir: str | Path, prefix: str = "") -> 
 
     A stored RunResult is replayed through a FileSink. A streamed
     RunSummary already wrote its data files while it ran; only summary.txt
-    is written here, and the returned paths include the streamed files.
+    is written here, beside them (ValueError if they lie elsewhere), and
+    the returned paths include the streamed files.
     """
+    summary = _output_path(out_dir, prefix, "summary")
     if isinstance(result, RunResult):
         streamed = _replay(result, FileSink(result.config, out_dir, prefix))
     else:
         streamed = result
+        metrics = result.paths.get("metrics")
+        if metrics is None:  # no sink made the directory
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        # every output file is "<out_dir>/<prefix>_<name>.<suffix>" (_output_path)
+        elif str(metrics).removesuffix("metrics.csv") != str(summary).removesuffix("summary.txt"):
+            raise ValueError(f"the run streamed {metrics}, not beside {summary}")
     paths = dict(streamed.paths)
-    paths["summary"] = _output_path(out_dir, prefix, "summary")
-    paths["summary"].write_text("\n".join(summary_rows(result)) + "\n")
+    paths["summary"] = summary
+    summary.write_text("\n".join(summary_rows(result)) + "\n")
     if "trajectories" in paths:
         paths["trajectories"] = paths.pop("trajectories")
     return paths

@@ -113,10 +113,6 @@ class Route:
         object.__setattr__(route, "power_links", power_links)
         return route
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.hops) - 1
-
     @functools.cached_property
     def text(self) -> str:
         """The hops as "r:c|r:c|...", as transfers.csv writes them; built once per route."""

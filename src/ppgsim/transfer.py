@@ -7,9 +7,10 @@ the response deadline still completes but is flagged as an overrun.
 
 Losses are debited at the source: the source sends the gross amount, the
 consumer receives the surviving fraction, the difference is dissipated.
-The same pass over the decisions builds the slot's per-station vectors
-(net flow and delivered energy), its shortfall ids and its overrun count,
-so the engine walks the decisions once.
+The same pass over the decisions builds the slot's net flows, shortfall
+ids and overrun count. No station is both consumer and source in a slot
+(a level is not both below the lower threshold and above the upper), so
+a station's delivered energy is the positive part of its net flow.
 
 Link calendar. A link's calendar is the bitmask of its busy mini-slots
 (see topology). A job of y mini-slots starts at the first run of y zero
@@ -108,15 +109,14 @@ def _earliest_start(route: Route, length: int) -> int:
 class SlotTransfers(NamedTuple):
     """One slot's executed transfers and the per-station results they give.
 
-    flow_J (net energy in, losses debited at the source) and delivered_J
-    are indexed by station id; each entry starts at 0.0 and adds in
-    decision order. shortfall_ids lists, sorted and once each, the
-    consumers of shortfall decisions; n_overruns counts the overrun jobs.
+    flow_J (net energy in, losses debited at the source) is indexed by
+    station id; each entry starts at 0.0 and adds in decision order.
+    shortfall_ids lists, sorted and once each, the consumers of shortfall
+    decisions; n_overruns counts the overrun jobs.
     """
 
     jobs: list[TransferJob]
     flow_J: list[float]
-    delivered_J: list[float]
     shortfall_ids: list[int]
     n_overruns: int
 
@@ -139,7 +139,6 @@ def execute_transfers(
     """
     jobs: list[TransferJob] = []
     flows = [0.0] * n_stations
-    received = [0.0] * n_stations
     shortfall: set[int] = set()
     n_overruns = 0
     for job_id, decision in enumerate(decisions):
@@ -161,7 +160,6 @@ def execute_transfers(
         jobs.append(TransferJob(job_id, decision, route, y, start, occupancy, completion, status))
         flows[consumer] += delivered
         flows[source] -= gross
-        received[consumer] += delivered
         if decision.shortfall:
             shortfall.add(consumer)
-    return SlotTransfers(jobs, flows, received, sorted(shortfall), n_overruns)
+    return SlotTransfers(jobs, flows, sorted(shortfall), n_overruns)

@@ -230,12 +230,23 @@ class TestSweepCommand:
         assert rows[0] == "lambda,mean_eb_J,delivered_J,demand_coverage_pct"
         assert len(rows) == 6
 
-    def test_bad_values_rejected(self, tmp_path):
-        rc = main(["sweep-lambda", "--values", "a,b"])
-        assert rc == EXIT_VALIDATION
+    @staticmethod
+    def rejected(tmp_path, capsys, values):
+        """(exit code, stdout, stderr) of a sweep with these values, which must write nothing."""
+        out = tmp_path / "sweep"
+        rc = main(["sweep-lambda", "--values", values, "--out", str(out)])
+        assert not out.exists()
+        return rc, *capsys.readouterr()
 
-    def test_empty_values_rejected(self):
-        assert main(["sweep-lambda", "--values", ","]) == EXIT_VALIDATION
+    # main prints each error once, as "error: <message>", and picks the exit code
+    def test_bad_values_rejected(self, tmp_path, capsys):
+        message = "error: --values must be a comma-separated list of numbers\n"
+        for values in ("a,b", "0.5,x"):
+            assert self.rejected(tmp_path, capsys, values) == (EXIT_VALIDATION, "", message)
+
+    def test_empty_values_rejected(self, tmp_path, capsys):
+        for values in (",", ""):
+            assert self.rejected(tmp_path, capsys, values) == (EXIT_VALIDATION, "", "error: --values is empty\n")
 
 
 class TestTraceCommands:
@@ -333,8 +344,9 @@ class TestTraceCommands:
         assert "error: phi_max_J must be at least beta_max_J" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_validate_needs_an_argument(self):
+    def test_validate_needs_an_argument(self, capsys):
         assert main(["validate-traces"]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: nothing to validate; pass --profiles and/or --harvest\n")
 
     def test_generated_traces_drive_a_run(self, tmp_path):
         out = tmp_path / "traces"

@@ -378,16 +378,13 @@ def engine_roles(levels, on_grid, cap, low, up):
             demands[i] = amount
         elif role == "source":
             surpluses[i] = amount
-    return [demands.get(i, 0.0) for i in range(len(levels))], demands, surpluses
+    return demands, surpluses
 
 
 def float_bits(result):
     """A roles result with each float as its bytes, so that signed zeros and NaN compare exactly."""
-    demand, demands, surpluses = result
-    return (
-        [bits(v) for v in demand],
-        [(i, bits(v)) for i, v in demands.items()], [(i, bits(v)) for i, v in surpluses.items()],
-    )
+    demands, surpluses = result
+    return [(i, bits(v)) for i, v in demands.items()], [(i, bits(v)) for i, v in surpluses.items()]
 
 
 def outcome(fn, *args):
@@ -417,7 +414,7 @@ class TestRolesOf:
         levels, on_grid = [s[0] for s in stations], [s[1] for s in stations]
         expected = engine_roles(levels, on_grid, CAP, LOW, UP)
         assert float_bits(roles_of(levels, on_grid, CAP, LOW, UP)) == float_bits(expected)
-        _, demands, surpluses = expected
+        demands, surpluses = expected
         assert [role_of(level, g, LOW, UP) for level, g in stations] == [
             ("source", surpluses[i]) if i in surpluses
             else ("consumer", demands[i]) if i in demands
@@ -478,11 +475,11 @@ class TestFusedRoles:
         # station topped up to exactly up; -0.0 sums stay -0.0
         levels = [-0.0, 0.0, 0.0, 0.0, 0.0]
         harvested = [-0.0, LOW, UP, CAP, 0.0]
-        new_levels, _, _, _, demand, demands, surpluses = battery_steps(
+        new_levels, _, _, _, demands, surpluses = battery_steps(
             levels, harvested, [0.0] * 5, [-0.0] * 5, [False] * 4 + [True], CAP, LOW, UP
         )
         assert [bits(v) for v in new_levels] == [bits(v) for v in (-0.0, LOW, UP, CAP, UP)]
-        assert demands == {0: LOW} and demand == [LOW, 0.0, 0.0, 0.0, 0.0]
+        assert demands == {0: LOW}
         assert surpluses == {3: CAP - UP}
 
 
@@ -492,7 +489,6 @@ class TestFusedRoles:
 
 
 def int_guard_roles_of(levels_J, grid_connected, capacity_J, low_J, up_J):
-    demand = [0.0] * len(levels_J)
     demands = {}
     surpluses = {}
     for i, (level, on_grid) in enumerate(zip(levels_J, grid_connected, strict=True)):
@@ -501,8 +497,8 @@ def int_guard_roles_of(levels_J, grid_connected, capacity_J, low_J, up_J):
         if level > up_J:
             surpluses[i] = level - up_J
         elif level < low_J and not on_grid:
-            demands[i] = demand[i] = low_J - level
-    return demand, demands, surpluses
+            demands[i] = low_J - level
+    return demands, surpluses
 
 
 def int_guard_battery_steps(

@@ -27,6 +27,7 @@ from ppgsim.engine import (
 from ppgsim.errors import ConfigError
 from ppgsim.ingest import HarvestTraceSet, LoadProfileSet
 from ppgsim.topology import PpgGrid
+from slot_vectors import delivered_vector, demand_vector
 from test_streaming import TRADING, small_configs
 from test_transfer import contended_config
 
@@ -234,9 +235,8 @@ class TestStepSemantics:
         profiles, harvest = quiet_traces(cfg)
         result = run(cfg, profiles, harvest)
         for m in result.slots:
-            assert m.n_sources == m.n_consumers == 0
-            assert not any(m.demand_J)
-            assert not any(m.delivered_J)
+            assert m.surpluses == m.demands == {}
+            assert not any(m.flow_J)
             assert not any(m.purchase_J)
             assert m.level_J == m.level_end_J
 
@@ -248,8 +248,8 @@ class TestStepSemantics:
         sim.levels[1] = 400e3   # adjacent source
         metrics, _ = sim.step(0)
         demand = 147e3 - 100e3
-        assert metrics.demand_J[0] == pytest.approx(demand)
-        assert metrics.delivered_J[0] == pytest.approx(demand)
+        assert metrics.demands == {0: pytest.approx(demand)}
+        assert delivered_vector(metrics)[0] == pytest.approx(demand)
         assert sim.levels[0] == pytest.approx(147e3)
         assert sim.levels[1] == pytest.approx(400e3 - demand / sim.loss.delivered_fraction(1))
 
@@ -362,7 +362,7 @@ class TestSlotMetricsFields:
         sim.levels = planted
         m, jobs = sim.step(0)
         assert m.slot == 0
-        assert (m.n_sources, m.n_consumers) == (3, 2)
+        assert list(m.surpluses) == [11, 17, 22] and list(m.demands) == [6, 23]
         assert m.level_J is planted and m.level_end_J is sim.levels
         assert (m.level_end_J[0], m.level_end_J[1]) == (0.0, 490e3)
         assert (m.clamped_ids, m.capped_ids) == ([0], [1])
@@ -372,11 +372,10 @@ class TestSlotMetricsFields:
         [job] = jobs
         assert (job.decision.source_id, job.decision.consumer_id, job.decision.shortfall) == (17, 23, True)
         assert (m.outage_ids, m.shortfall_ids, m.n_overruns) == ([6], [23], 0)
-        assert [i for i, d in enumerate(m.demand_J) if d] == [6, 23]
-        assert (m.demand_J[6], m.demand_J[23]) == (47e3, 147e3)
-        assert [i for i, d in enumerate(m.delivered_J) if d] == [23]
+        assert m.demands == {6: 47e3, 23: 147e3}
+        assert m.surpluses == {11: 57e3, 17: 57e3, 22: 57e3}
         assert [i for i, f in enumerate(m.flow_J) if f] == [17, 23]
-        assert m.flow_J[17] == -job.decision.gross_J and m.flow_J[23] == m.delivered_J[23]
+        assert m.flow_J[17] == -job.decision.gross_J and m.flow_J[23] == job.decision.delivered_J
         assert not any(m.purchase_J)
         assert m.association and m.association == frozenset(row[4] for row in sim.fleet.trajectory_rows(0))
 
@@ -655,7 +654,7 @@ class TestOneRolePass:
         cfg = dataclasses.replace(reference_config, horizon_slots=200, initial_fill_fraction=0.32)
         sim = Simulation(cfg)
         result = sim.run()
-        assert sum(m.n_consumers for m in result.slots) > 0
+        assert sum(len(m.demands) for m in result.slots) > 0
         assert calls == {"roles_of": 1, "bs_consumption": len(sim.profiles.clusters) * 200}
 
     def test_replaced_levels_are_classified_again(self, monkeypatch):
@@ -665,21 +664,21 @@ class TestOneRolePass:
         calls = {}
         TestStepContract.count_calls(monkeypatch, domain, "roles_of", calls)
         quiet, _ = sim.step(0)
-        assert quiet.n_consumers == quiet.n_sources == 0
+        assert quiet.demands == quiet.surpluses == {}
         # a station above the upper threshold beside consumers below the lower one
         replaced = [100e3] * cfg.n_bs
         replaced[1] = 400e3
         sim.levels = replaced
         busy, _ = sim.step(1)
-        demand, demands, surpluses = roles_of(replaced, sim.on_grid, 490e3, 147e3, 343e3)
+        demands, surpluses = roles_of(replaced, sim.on_grid, 490e3, 147e3, 343e3)
         assert busy.level_J is replaced
-        assert busy.demand_J == demand
-        assert (busy.n_consumers, busy.n_sources) == (len(demands), len(surpluses)) == (cfg.n_bs - 2, 1)
-        assert sum(busy.delivered_J) > 0.0
+        assert (busy.demands, busy.surpluses) == (demands, surpluses)
+        assert (len(demands), len(surpluses)) == (cfg.n_bs - 2, 1)
+        assert sum(delivered_vector(busy)) > 0.0
         # the next slot reads the battery pass's roles of the levels it wrote
         after, _ = sim.step(2)
         assert after.level_J is busy.level_end_J
-        assert after.demand_J == roles_of(after.level_J, sim.on_grid, 490e3, 147e3, 343e3)[0]
+        assert (after.demands, after.surpluses) == roles_of(after.level_J, sim.on_grid, 490e3, 147e3, 343e3)
         assert calls == {"roles_of": 2}
 
 
@@ -701,9 +700,9 @@ class TestQuietSlots:
         calls = self.counted(monkeypatch)
         for t in range(3):
             metrics, jobs = sim.step(t)
-            assert not any(metrics.demand_J)
+            assert metrics.demands == {}
             assert jobs == []
-            assert metrics.flow_J == metrics.delivered_J == [0.0] * reference_config.n_bs
+            assert metrics.flow_J == [0.0] * reference_config.n_bs
             assert (metrics.outage_ids, metrics.shortfall_ids, metrics.n_overruns) == ([], [], 0)
         assert calls == {}
 
@@ -752,12 +751,14 @@ _PACKED = {"Sequence[float]": "d", "Sequence[int]": "q"}
 
 
 def slot_bytes(metrics):
-    """Every field of one slot's metrics, each numeric vector packed into bytes as it is now."""
+    """Every field of one slot's metrics, each numeric vector and map packed into bytes as it is now."""
     snapshot = []
     for f in dataclasses.fields(metrics):
         value = getattr(metrics, f.name)
         if f.type in _PACKED:
             value = struct.pack(f"<{len(value)}{_PACKED[f.type]}", *value)
+        elif f.type == "Mapping[int, float]":
+            value = tuple((i, struct.pack("<d", v)) for i, v in value.items())
         elif f.type == "Sequence[str]":
             value = tuple(value)
         snapshot.append((f.name, value))
@@ -782,11 +783,12 @@ class TestSlotVectorsStayPut:
         for now, after in zip(result.slots, result.slots[1:]):
             assert now.level_end_J == after.level_J
         # the run moved what a shared list would let go stale: these vectors
-        # differ in every slot, and deliveries, flows and demands in most
+        # differ in every slot, and flows, demands and surpluses in most
         for name in ("level_J", "purchase_J", "consumption_J"):
             assert len({tuple(getattr(m, name)) for m in result.slots}) == cfg.horizon_slots
-        for name in ("demand_J", "delivered_J", "flow_J"):
-            assert len({tuple(getattr(m, name)) for m in result.slots}) > cfg.horizon_slots // 2
+        assert len({tuple(m.flow_J) for m in result.slots}) > cfg.horizon_slots // 2
+        for name in ("demands", "surpluses"):
+            assert len({tuple(getattr(m, name).items()) for m in result.slots}) > cfg.horizon_slots // 2
 
 
 def packed(vector):
@@ -814,13 +816,13 @@ def check_vectors_follow_jobs(result):
     for slot, job in result.jobs:
         by_slot[slot].append(job)
     for m in result.slots:
-        stored = packed(m.flow_J), packed(m.delivered_J), list(m.shortfall_ids), m.n_overruns
+        stored = packed(m.flow_J), packed(delivered_vector(m)), list(m.shortfall_ids), m.n_overruns
         assert stored == vectors_from_jobs(result.config.n_bs, by_slot[m.slot]), m.slot
     return [job for _, job in result.jobs]
 
 
 class TestVectorsFollowJobs:
-    """The step's flow, delivered, shortfall and overrun results are its jobs', bit for bit."""
+    """The step's flow, shortfall and overrun results, and the deliveries its flows give, are its jobs', bit for bit."""
 
     def test_small_configs(self):
         trades = {}
@@ -858,12 +860,13 @@ def queue_proof_violations(config, slots):
     for m in slots:
         if any(q != 0.0 for q in queues):
             found.append(("queue", m.slot))
-        for demand, delivered in zip(m.demand_J, m.delivered_J):
+        delivered_J = delivered_vector(m)
+        for demand, delivered in zip(demand_vector(m), delivered_J):
             if delivered > demand + 2 * math.ulp(demand):
                 found.append(("demand", m.slot))
             if not delivered < cap:
                 found.append(("cap", m.slot))
-        queues = [allocation.queue_update(q, d, cap) for q, d in zip(queues, m.delivered_J)]
+        queues = [allocation.queue_update(q, d, cap) for q, d in zip(queues, delivered_J)]
     if any(q != 0.0 for q in queues):
         found.append(("queue", len(slots)))
     return found
@@ -917,12 +920,12 @@ class TestQueueCannotMove:
     def test_a_consumer_served_twice_is_caught(self):
         cfg = TRADING
         slots = run(cfg).slots
-        busy = next(k for k, m in enumerate(slots) if any(m.delivered_J))
-        consumer = max(range(cfg.n_bs), key=slots[busy].delivered_J.__getitem__)
+        busy = next(k for k, m in enumerate(slots) if any(delivered_vector(m)))
+        consumer = max(range(cfg.n_bs), key=slots[busy].flow_J.__getitem__)
         # a planted fault: the consumer gets two deliveries of 0.6 cap each
-        delivered = list(slots[busy].delivered_J)
-        delivered[consumer] = 0.6 * cfg.beta_max_J + 0.6 * cfg.beta_max_J
-        slots[busy] = dataclasses.replace(slots[busy], delivered_J=delivered)
+        flows = list(slots[busy].flow_J)
+        flows[consumer] = 0.6 * cfg.beta_max_J + 0.6 * cfg.beta_max_J
+        slots[busy] = dataclasses.replace(slots[busy], flow_J=flows)
         found = queue_proof_violations(cfg, slots)
         assert {kind for kind, _ in found} == {"queue", "demand", "cap"}
         assert ("queue", busy + 1) in found

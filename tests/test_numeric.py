@@ -59,8 +59,8 @@ def test_totals_that_reach_outputs_round_left_to_right(compensated_builtin, tmp_
     # the negative flows -1e16, -1.0, -1.0 lose both ones left to right
     flows = (-1e16, -1.0, -1.0)
     metrics = engine.SlotMetrics(
-        0, cancelling, zeros, 0, 0, cancelling, cancelling,
-        flows, cancelling, cancelling, cancelling, frozenset(), (), (), (), (), 0,
+        0, cancelling, zeros, dict(enumerate(CANCELLING)), {}, flows,
+        cancelling, cancelling, cancelling, frozenset(), (), (), (), (), 0,
     )
     assert metrics.total_flow_J == -1e16
     config = engine.SimConfig(rows=1, cols=3, on_grid_ids=())
@@ -68,18 +68,20 @@ def test_totals_that_reach_outputs_round_left_to_right(compensated_builtin, tmp_
     assert (row.demand_J, row.delivered_J) == (0.0, 0.0)
     assert (row.purchase_J, row.harvest_J, row.consumption_J, row.mean_level_J, row.queue_sum_J) == (0.0,) * 5
     assert (row.gross_J, row.flow_sum_J) == (1e16, -1e16)
+    # the positive flows lose both ones left to right too
+    row = engine.SummarySink(config).add(dataclasses.replace(metrics, flow_J=(1e16, 1.0, 1.0)))
+    assert row.delivered_J == 1e16 != math.fsum((1e16, 1.0, 1.0))
 
     def coverage(pairs):
         totals = engine.SummarySink(config)
         for demand_J, delivered_J in pairs:
-            totals.add(dataclasses.replace(
-                metrics, demand_J=(demand_J, 0.0, 0.0), delivered_J=(delivered_J, 0.0, 0.0)
-            ))
+            totals.add(dataclasses.replace(metrics, demands={0: demand_J}, flow_J=(delivered_J, 0.0, 0.0)))
         return totals.summary(None)["demand_coverage_pct"]
 
-    # slot totals summed over the run: demand 0.0 (full coverage), then delivered 0.0
+    # slot totals summed over the run: demand 0.0 (full coverage), then
+    # delivered 1e16, where a compensated sum would give 1e16 + 2
     assert coverage((x, 0.0) for x in CANCELLING) == 100.0
-    assert coverage((1.0, x) for x in CANCELLING) == 0.0
+    assert coverage((1.0, x) for x in (1e16, 1.0, 1.0)) == 100.0 * 1e16 / 3.0
 
     # per-station mean queues, then their sum over stations
     report = allocation.theorem1_report(CANCELLING, {0: CANCELLING}, 1.0, 0.0)

@@ -284,12 +284,15 @@ class OracleAccumulator(engine.SummarySink):
     """The summary sink with every vector folded and every minimum taken, in every slot.
 
     SummarySink.add skips the zeros of a quiet slot; this is the add it
-    replaced, kept as the reference for those short-cuts.
+    replaced, kept as the reference for those short-cuts. A station's
+    delivered energy is the positive part of its flow, +0.0 for every
+    station that received none, and every one of them is added.
     """
 
     def add(self, m: SlotMetrics) -> engine.SlotRow:
-        demand = left_sum(m.demand_J)
-        delivered = left_sum(m.delivered_J)
+        received = [f if f > 0.0 else 0.0 for f in m.flow_J]
+        demand = left_sum(m.demands.values(), 0.0)
+        delivered = left_sum(received, 0.0)
         negative = left_sum((f for f in m.flow_J if f < 0.0), 0.0)
         purchase = left_sum(m.purchase_J)
         harvest = left_sum(m.harvest_J)
@@ -297,7 +300,7 @@ class OracleAccumulator(engine.SummarySink):
         level = left_sum(m.level_J)
         min_level = min_restored = 0.0
         if self.offgrid:
-            levels, received = m.level_J, m.delivered_J
+            levels = m.level_J
             min_level = min(levels[i] for i in self.offgrid)
             min_restored = min(levels[i] + received[i] for i in self.offgrid)
             if min_level < self.min_level:
@@ -319,7 +322,7 @@ class OracleAccumulator(engine.SummarySink):
         self.overruns += m.n_overruns
         self.clamps += len(m.clamped_ids)
         return engine.SlotRow(
-            m.slot, m.n_sources, m.n_consumers,
+            m.slot, len(m.surpluses), len(m.demands),
             demand, delivered, -negative, left_sum(m.flow_J), purchase, harvest, consumption,
             len(m.outage_ids), len(m.shortfall_ids), m.n_overruns, len(m.association),
             min_level, min_restored, level / self.config.n_bs, 0.0,
@@ -370,12 +373,14 @@ def slot_streams(draw) -> tuple[SimConfig, list[SlotMetrics]]:
         vectors.append(st.just([*CANCELLING, *[0.0] * (n - 3)]))
     vector = st.one_of(*vectors)
     ids = st.lists(st.sampled_from(everyone), unique=True)
-    counts = st.integers(0, n)
+    # role maps in id order; the sink reads their sizes and the demands' values
+    roles = st.lists(st.tuples(st.sampled_from(everyone), values), unique_by=lambda kv: kv[0]).map(
+        lambda pairs: dict(sorted(pairs))
+    )
     slots = [
         SlotMetrics(
-            slot=t, level_J=draw(vector), level_end_J=draw(vector), n_sources=draw(counts),
-            n_consumers=draw(counts), demand_J=draw(vector), delivered_J=draw(vector),
-            flow_J=draw(vector), purchase_J=draw(vector), harvest_J=draw(vector),
+            slot=t, level_J=draw(vector), level_end_J=draw(vector), demands=draw(roles),
+            surpluses=draw(roles), flow_J=draw(vector), purchase_J=draw(vector), harvest_J=draw(vector),
             consumption_J=draw(vector), association=frozenset(draw(ids)), outage_ids=draw(ids),
             shortfall_ids=draw(ids), clamped_ids=draw(ids), capped_ids=draw(ids),
             n_overruns=draw(st.integers(0, 3)),
@@ -385,12 +390,11 @@ def slot_streams(draw) -> tuple[SimConfig, list[SlotMetrics]]:
     return config, slots
 
 
-def quiet_slot(level_J, delivered_J) -> SlotMetrics:
+def quiet_slot(level_J, flow_J) -> SlotMetrics:
     n = len(level_J)
     zeros = [0.0] * n
     return SlotMetrics(
-        0, level_J, level_J, 0, 0, zeros, delivered_J, zeros, zeros, zeros,
-        zeros, frozenset(), [], [], [], [], 0,
+        0, level_J, level_J, {}, {}, flow_J, zeros, zeros, zeros, frozenset(), [], [], [], [], 0,
     )
 
 
@@ -402,9 +406,12 @@ class TestSummaryShortCuts:
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(stream=slot_streams())
-    # a -0.0 minimum level: a -0.0 delivery keeps it -0.0, a +0.0 one makes it +0.0
+    # a -0.0 minimum level reads +0.0 once its flow's positive part is added,
+    # whatever the sign of that flow's zero or of the other flows
     @example(stream=(OFF_GRID_PAIR, [quiet_slot([-0.0, 1.0], [-0.0, 0.0])]))
     @example(stream=(OFF_GRID_PAIR, [quiet_slot([-0.0, 1.0], [0.0, -0.0])]))
+    @example(stream=(OFF_GRID_PAIR, [quiet_slot([-0.0, 1.0], [-1.0, 0.0])]))
+    @example(stream=(OFF_GRID_PAIR, [quiet_slot([1.0, -0.0], [0.0, 2.0])]))
     def test_drawn_slots(self, stream):
         assert_same_totals(*stream)
 
@@ -506,3 +513,34 @@ def test_a_replay_that_raises_closes_its_files(tmp_path, monkeypatch):
     with pytest.raises(TypeError):
         engine.write_outputs(result, tmp_path)
     assert len(opened) == 2 and all(handle.closed for handle in opened)
+
+
+class TestStreamedSummaryPlacement:
+    """write_outputs puts a streamed run's summary.txt beside the files the run streamed."""
+
+    def test_summary_of_a_fileless_run_makes_its_directory(self, tmp_path):
+        result = engine.run(TRADING, sink_for=engine.SummarySink)
+        out = tmp_path / "new" / "dir"
+        paths = engine.write_outputs(result, out)
+        assert paths == {"summary": out / "summary.txt"}
+        assert paths["summary"].read_text() == "\n".join(engine.summary_rows(result)) + "\n"
+
+    def test_summary_lands_beside_the_streamed_files(self, tmp_path):
+        out = tmp_path / "run"
+        result = engine.run(TRADING, sink_for=lambda cfg: engine.FileSink(cfg, out, prefix="p"))
+        paths = engine.write_outputs(result, out, prefix="p")
+        assert {path.parent for path in paths.values()} == {out}
+        assert sorted(paths.values()) == sorted(out.iterdir())
+
+    @pytest.mark.parametrize("elsewhere", [("other", "p"), ("run", ""), ("run", "q")])
+    def test_summary_elsewhere_is_rejected_naming_both_places(self, tmp_path, elsewhere):
+        out = tmp_path / "run"
+        result = engine.run(TRADING, sink_for=lambda cfg: engine.FileSink(cfg, out, prefix="p"))
+        directory, prefix = elsewhere
+        target = engine._output_path(tmp_path / directory, prefix, "summary")
+        with pytest.raises(ValueError) as raised:
+            engine.write_outputs(result, tmp_path / directory, prefix=prefix)
+        assert str(out / "p_metrics.csv") in str(raised.value) and str(target) in str(raised.value)
+        # nothing was written: no summary anywhere, and no new directory
+        assert sorted(p.name for p in out.iterdir()) == ["p_metrics.csv", "p_transfers.csv"]
+        assert (tmp_path / directory).exists() == (directory == "run")

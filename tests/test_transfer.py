@@ -102,7 +102,7 @@ class TestExecuteTransfers:
 
     def test_no_jobs(self):
         outcome = run_transfers([], {})
-        assert outcome == SlotTransfers([], [], [], [], 0)
+        assert outcome == SlotTransfers([], [], [], 0)
 
     def test_overrun_flagged_but_completed(self):
         positions = {0: (0, 0), 1: (0, 1)}
@@ -137,7 +137,7 @@ class TestExecuteTransfers:
         expected = sum(d.gross_J * d.fraction for d in decisions)
         received = outcome.flow_J[3] + outcome.flow_J[1]
         assert received == pytest.approx(expected, rel=1e-12)
-        assert outcome.delivered_J[3] + outcome.delivered_J[1] == received
+        assert [i for i, flow in enumerate(outcome.flow_J) if flow > 0.0] == [1, 3]
         assert sum(outcome.flow_J) <= 0.0
 
     def test_no_link_carries_two_jobs_in_same_mini_slot(self):
@@ -260,7 +260,7 @@ class TestDerivedGrants:
         assert any(job.mini_slots > 1 for job in jobs)
         assert any(job.start_mini_slot > 0 for job in jobs)
         assert any(job.overrun for job in jobs)
-        assert any(job.route.hop_count > 1 for job in jobs)
+        assert any(len(job.route.hops) - 1 > 1 for job in jobs)
 
     def test_outcome_grants_follow_jobs(self):
         positions = {0: (0, 0), 1: (0, 1), 2: (0, 2)}
@@ -281,9 +281,9 @@ def oracle_execute_transfers(
 ):
     """What execute_transfers must return, restated job by job as the oracle.
 
-    The per-station vectors are folded one station at a time over the jobs,
-    from 0.0 in job order, so each entry sees the additions the one pass
-    makes to it, in the same order.
+    The flow vector is folded one station at a time over the jobs, from
+    0.0 in job order, so each entry sees the additions the one pass makes
+    to it, in the same order.
     """
     jobs = []
     for job_id, decision in enumerate(decisions):
@@ -303,22 +303,20 @@ def oracle_execute_transfers(
                 occupancy_s=occupancy, completion_s=completion, status=status,
             )
         )
-    flows, received = [], []
+    flows = []
     for i in range(n_stations):
-        flow = into = 0.0
+        flow = 0.0
         for job in jobs:
             d = job.decision
             if d.consumer_id == i:
                 flow += d.gross_J * d.fraction
-                into += d.gross_J * d.fraction
             if d.source_id == i:
                 flow -= d.gross_J
         flows.append(flow)
-        received.append(into)
     short = [job.decision.consumer_id for job in jobs if job.decision.shortfall]
     shortfall_ids = [i for i in range(n_stations) if i in short]
     n_overruns = len([job for job in jobs if job.status == "overrun"])
-    return jobs, flows, received, shortfall_ids, n_overruns
+    return jobs, flows, shortfall_ids, n_overruns
 
 
 def bits(x):
@@ -345,13 +343,13 @@ def transfer_slots(draw):
 
 
 def executed(fn, rows, cols, decisions, phi_max_J, timing):
-    """One implementation's five results (floats as bytes) and link calendars, or its error."""
+    """One implementation's four results (floats as bytes) and link calendars, or its error."""
     grid = PpgGrid(rows=rows, cols=cols)
     n = rows * cols
     positions = {i: divmod(i, cols) for i in range(n)}
     mini_slot_s, xi_s, delta_s = timing
     try:
-        jobs, flows, received, shortfall_ids, n_overruns = fn(
+        jobs, flows, shortfall_ids, n_overruns = fn(
             decisions, grid, positions, n, mini_slot_s, xi_s, phi_max_J, delta_s
         )
     except (ConfigError, ValueError) as exc:
@@ -361,9 +359,8 @@ def executed(fn, rows, cols, decisions, phi_max_J, timing):
          bits(job.occupancy_s), bits(job.completion_s), job.status)
         for job in jobs
     ]
-    vectors = [struct.pack(f"<{len(v)}d", *v) for v in (flows, received)]
     calendars = [(key, link.mask) for key, link in grid.links.items()]
-    return jobs, vectors, shortfall_ids, n_overruns, calendars
+    return jobs, struct.pack(f"<{len(flows)}d", *flows), shortfall_ids, n_overruns, calendars
 
 
 class TestMatchesPerJobOracle:
